@@ -55,8 +55,24 @@ def _load(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}", BAD_INPUT)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte offset {exc.start})", BAD_INPUT)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", BAD_INPUT)
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply", BAD_INPUT)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _emit_json(obj) -> None:
@@ -426,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("category-check", help="category laws on seeded fuzzy infomorphisms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--triples", type=int, default=20)
+    p.add_argument("--triples", type=_positive_int, default=20)
     add_format(p)
     p.set_defaults(fn=cmd_category_check)
 

@@ -4,10 +4,17 @@ Degrees are ``fractions.Fraction`` values in [0, 1], never floats: every
 operator used here (min, max, 1 - x, +, *) is closed over the rationals, so
 all comparisons in tests and reports are exact.  Degree strings parse from
 "p/q" or decimal literals ("0.3" becomes 3/10 exactly).
+
+Degrees are bounded before any expensive arithmetic: a degree string has at
+most ``MAX_DEGREE_TEXT`` characters and a decimal exponent of magnitude at
+most ``MAX_DEGREE_EXPONENT``, and every degree's reduced denominator is at
+most ``MAX_DEGREE_DENOMINATOR``.  A relation's degrees share one common
+denominator, so one unbounded cell would otherwise inflate all the others.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
@@ -23,17 +30,44 @@ class DomainMismatchError(ValueError):
     """Two fuzzy sets over different domains were combined."""
 
 
+MAX_DEGREE_TEXT = 100
+MAX_DEGREE_EXPONENT = 100
+MAX_DEGREE_DENOMINATOR = 2**128
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
 def degree(value: int | str | Fraction) -> Fraction:
-    """Validate and normalize a degree; accepts Fraction, int or string."""
+    """Validate and normalize a degree; accepts Fraction, int or string.
+
+    A ``Fraction`` that is already a valid degree is returned as is.
+    """
     if isinstance(value, bool):
         raise TypeError("degrees are rationals, not booleans")
     if isinstance(value, float):
         raise TypeError(f"degrees must be exact; pass a string or Fraction, not float {value!r}")
-    try:
-        d = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse degree {value!r}: {exc}") from None
-    if not ZERO <= d <= ONE:
+    if isinstance(value, str):
+        if len(value) > MAX_DEGREE_TEXT:
+            raise ValueError(
+                f"degree text of {len(value)} characters exceeds {MAX_DEGREE_TEXT}"
+            )
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_DEGREE_EXPONENT:
+            raise ValueError(
+                f"degree {value!r} has an exponent beyond +-{MAX_DEGREE_EXPONENT}"
+            )
+    if type(value) is Fraction:
+        d = value
+    else:
+        try:
+            d = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse degree {value!r}: {exc}") from None
+    if d.denominator > MAX_DEGREE_DENOMINATOR:
+        raise ValueError(
+            f"degree denominator of {d.denominator.bit_length()} bits exceeds 2**128"
+        )
+    if not 0 <= d.numerator <= d.denominator:
         raise ValueError(f"degree {d} outside [0, 1]")
     return d
 
@@ -140,6 +174,14 @@ class IFPair:
         object.__setattr__(self, "nu", degree(self.nu))
         if self.mu + self.nu > ONE:
             raise ValueError(f"mu + nu = {self.mu + self.nu} exceeds 1")
+
+    @classmethod
+    def _trusted(cls, mu: Fraction, nu: Fraction) -> "IFPair":
+        """A pair of degrees read from a validated relation: no re-check."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "mu", mu)
+        object.__setattr__(pair, "nu", nu)
+        return pair
 
     @property
     def hesitation(self) -> Fraction:

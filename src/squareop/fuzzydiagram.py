@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import element_label
@@ -67,6 +68,30 @@ class FuzzyAristotelianDiagram:
         if x not in self.fragment:
             raise ValueError(f"{x!r} is not a fragment element")
 
+    @cached_property
+    def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
+        """The seven-clause kind of every fragment pair, in the derived order."""
+        lat = self.lattice
+
+        def kind(x: str, y: str) -> RelationKind:
+            if x == y:
+                return RelationKind.BI
+            if lat.dominates(x, y):
+                return RelationKind.LI
+            if lat.dominates(y, x):
+                return RelationKind.RI
+            meet_bottom = lat.glb(x, y) == lat.bottom
+            join_top = lat.lub(x, y) == lat.top
+            if meet_bottom and join_top:
+                return RelationKind.CD
+            if meet_bottom:
+                return RelationKind.C
+            if join_top:
+                return RelationKind.SC
+            return RelationKind.UN
+
+        return tuple(tuple(kind(x, y) for y in self.fragment) for x in self.fragment)
+
     def __len__(self) -> int:
         return len(self.fragment)
 
@@ -90,22 +115,19 @@ def classify_fuzzy(d: FuzzyAristotelianDiagram, x: str, y: str) -> FuzzyClassifi
     """Seven-clause classification in the derived order, with annotation."""
     d._require_member(x)
     d._require_member(y)
+    kind = d.kind_table[d.fragment.index(x)][d.fragment.index(y)]
     lat = d.lattice
-    if x == y:
-        return FuzzyClassification(RelationKind.BI, lat.order.pair_of(x, y))
-    if lat.dominates(x, y):
-        return FuzzyClassification(RelationKind.LI, lat.order.pair_of(x, y))
-    if lat.dominates(y, x):
-        return FuzzyClassification(RelationKind.RI, lat.order.pair_of(y, x))
-    meet_bottom = lat.glb(x, y) == lat.bottom
-    join_top = lat.lub(x, y) == lat.top
-    if meet_bottom and join_top:
-        return FuzzyClassification(RelationKind.CD, lat.order.pair_of(x, lat.unique_complement(y)))
-    if meet_bottom:
-        return FuzzyClassification(RelationKind.C, lat.order.pair_of(x, lat.unique_complement(y)))
-    if join_top:
-        return FuzzyClassification(RelationKind.SC, lat.order.pair_of(lat.unique_complement(y), x))
-    return FuzzyClassification(RelationKind.UN, FULL)
+    if kind in (RelationKind.BI, RelationKind.LI):
+        edge = (x, y)
+    elif kind == RelationKind.RI:
+        edge = (y, x)
+    elif kind in (RelationKind.CD, RelationKind.C):
+        edge = (x, lat.unique_complement(y))
+    elif kind == RelationKind.SC:
+        edge = (lat.unique_complement(y), x)
+    else:
+        return FuzzyClassification(RelationKind.UN, FULL)
+    return FuzzyClassification(kind, lat.order.pair_of(*edge))
 
 
 def fuzzy_relation_table(
@@ -147,17 +169,12 @@ def compose_fuzzy_maps(first: FuzzyDiagramMap, second: FuzzyDiagramMap) -> Fuzzy
 
 def check_fuzzy_infomorphism(m: FuzzyDiagramMap) -> bool:
     """Whether the map never loses informativity on any fragment pair."""
-    src, tgt = m.source, m.target
-    n = len(src.fragment)
-    for i in range(n):
-        for j in range(n):
-            r = classify_fuzzy(src, src.fragment[i], src.fragment[j]).kind
-            s = classify_fuzzy(
-                tgt, tgt.fragment[m.mapping[i]], tgt.fragment[m.mapping[j]]
-            ).kind
-            if not informativity_leq(r, s):
-                return False
-    return True
+    source, target, f = m.source.kind_table, m.target.kind_table, m.mapping
+    return all(
+        informativity_leq(kind, target[f[i]][f[j]])
+        for i, row in enumerate(source)
+        for j, kind in enumerate(row)
+    )
 
 
 def check_if_homomorphism(
@@ -234,11 +251,11 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
     passing = [check_fuzzy_infomorphism(m) for m in maps]
     excluded = tuple(i for i, ok in enumerate(passing) if not ok)
 
-    diagrams: list[FuzzyAristotelianDiagram] = []
-    for m in maps:
-        for d in (m.source, m.target):
-            if d not in diagrams:
-                diagrams.append(d)
+    diagrams = dict.fromkeys(d for m in maps for d in (m.source, m.target))
+    # indices of the sample maps leaving each diagram
+    leaving: dict[FuzzyAristotelianDiagram, list[int]] = {d: [] for d in diagrams}
+    for i, m in enumerate(maps):
+        leaving[m.source].append(i)
 
     identity_checked = 0
     identity_ok = True
@@ -256,22 +273,22 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
     closure_checked = 0
     closure_ok = True
     for i, m1 in enumerate(maps):
-        for j, m2 in enumerate(maps):
-            if not (passing[i] and passing[j]) or m1.target != m2.source:
+        if not passing[i]:
+            continue
+        for j in leaving[m1.target]:
+            if not passing[j]:
                 continue
             closure_checked += 1
-            if not check_fuzzy_infomorphism(compose_fuzzy_maps(m1, m2)):
+            if not check_fuzzy_infomorphism(compose_fuzzy_maps(m1, maps[j])):
                 closure_ok = False
 
     assoc_checked = 0
     assoc_ok = True
     for m1 in maps:
-        for m2 in maps:
-            if m1.target != m2.source:
-                continue
-            for m3 in maps:
-                if m2.target != m3.source:
-                    continue
+        for j in leaving[m1.target]:
+            m2 = maps[j]
+            for k in leaving[m2.target]:
+                m3 = maps[k]
                 assoc_checked += 1
                 lhs = compose_fuzzy_maps(compose_fuzzy_maps(m1, m2), m3)
                 rhs = compose_fuzzy_maps(m1, compose_fuzzy_maps(m2, m3))

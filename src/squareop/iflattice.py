@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 
 from .algebra import BooleanAlgebra, element_label
 from .ifrel import IFRelation, is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
-from .degrees import ONE
 
 MAX_CARRIER = 16
 
@@ -69,9 +68,10 @@ class IFLattice:
     @cached_property
     def underlying_order(self) -> tuple[tuple[bool, ...], ...]:
         """Crisp dominance matrix: x <= y iff x = y or nu(x, y) < 1."""
-        n = len(self.carrier)
+        den = self.order.den
         return tuple(
-            tuple(i == j or self.order.nu[i][j] < ONE for j in range(n)) for i in range(n)
+            tuple(i == j or nu < den for j, nu in enumerate(row))
+            for i, row in enumerate(self.order.n)
         )
 
     def dominates(self, x: str, y: str) -> bool:

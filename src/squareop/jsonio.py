@@ -2,7 +2,9 @@
 
 Degrees travel as strings ("1/2", "0.3"); elements as sorted atom-label
 arrays.  Parsers validate shape and invariants and raise InputFormatError
-with the offending JSON path, which the CLI maps to exit code 2.
+with the offending JSON path, which the CLI maps to exit code 2.  Degree
+strings are bounded as ``degrees.degree`` documents (length, exponent and
+denominator caps) before any arithmetic.
 
 Schemas:
 
@@ -25,7 +27,7 @@ from .algebra import BooleanAlgebra, Element
 from .degrees import FuzzySet, IFPair, degree
 from .diagram import Diagram
 from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram
-from .ifrel import IFRelation
+from .ifrel import IFRelation, _bad_cell, _check_labels, _common_denominator
 from .iflattice import IFLattice, LatticeCertification
 
 
@@ -167,13 +169,16 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
     n = len(labels)
     mu = _degree_matrix(record["mu"], n, n, f"{path}.mu")
     nu = _degree_matrix(record["nu"], n, n, f"{path}.nu")
-    for i in range(n):
-        for j in range(n):
-            if mu[i][j] + nu[i][j] > 1:
-                raise InputFormatError(
-                    f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"{path}.mu[{i}][{j}]"
-                )
-    return IFRelation(labels, labels, mu, nu)
+    # the degrees are validated: build the int form without a second pass
+    den, ints_mu, ints_nu = _common_denominator(mu, nu)
+    cell = _bad_cell(den, ints_mu, ints_nu)
+    if cell is not None:
+        i, j = cell
+        raise InputFormatError(
+            f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"{path}.mu[{i}][{j}]"
+        )
+    _check_labels(labels, "source")
+    return IFRelation._build(labels, labels, den, ints_mu, ints_nu, mu, nu)
 
 
 def lattice_to_json(lattice: IFLattice) -> dict:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import BooleanAlgebra
-from .degrees import ONE, ZERO, IFPair
+from .degrees import IFPair
 from .diagram import Diagram
 from .fuzzydiagram import (
     FuzzyAristotelianDiagram,
@@ -30,12 +31,23 @@ def random_degree(rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMIN
     return Fraction(rng.randint(0, q), q)
 
 
-def random_if_pair(rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> IFPair:
-    mu = random_degree(rng, max_denominator)
-    room = ONE - mu
+def _random_cell(
+    rng: random.Random, max_denominator: int, strict: bool = False
+) -> tuple[int, int, int, int]:
+    """Draw (a, p, b, q) for the pair (a/p, b/q), with a/p + b/q <= 1 and,
+    if ``strict``, b/q < 1 (the edge stays in the derived order)."""
+    p = rng.randint(1, max_denominator)
+    a = rng.randint(0, p)
     q = rng.randint(1, max_denominator)
-    smax = room.numerator * q // room.denominator
-    return IFPair(mu, Fraction(rng.randint(0, smax), q))
+    smax = (p - a) * q // p
+    if strict and a == 0:
+        smax = min(smax, q - 1)
+    return a, p, rng.randint(0, smax), q
+
+
+def random_if_pair(rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> IFPair:
+    a, p, b, q = _random_cell(rng, max_denominator)
+    return IFPair(Fraction(a, p), Fraction(b, q))
 
 
 def random_if_relation(
@@ -60,19 +72,6 @@ def random_crisp_diagram(
     return Diagram(algebra, tuple(algebra.element(b) for b in bits))
 
 
-def _strict_subset_pair(
-    rng: random.Random, max_denominator: int
-) -> IFPair:
-    # an order edge that must stay present in the derived order: nu < 1
-    mu = random_degree(rng, max_denominator)
-    room = ONE - mu
-    q = rng.randint(1, max_denominator)
-    smax = room.numerator * q // room.denominator
-    if mu == ZERO:
-        smax = min(smax, q - 1)
-    return IFPair(mu, Fraction(rng.randint(0, smax), q))
-
-
 def random_fuzzy_powerset_order(
     rng: random.Random,
     algebra: BooleanAlgebra | int,
@@ -93,17 +92,18 @@ def random_fuzzy_powerset_order(
     crisp = powerset_lattice(algebra)
     labels = crisp.carrier
     n = len(labels)
-    elems = list(range(n))
-    mu = [[ZERO] * n for _ in range(n)]
-    nu = [[ONE] * n for _ in range(n)]
-    for i in elems:
-        for j in elems:
-            if i == j:
-                mu[i][j], nu[i][j] = ONE, ZERO
-            elif i & j == i:  # powerset carrier indices are the bitmasks
-                pair = _strict_subset_pair(rng, max_denominator)
-                mu[i][j], nu[i][j] = pair.mu, pair.nu
-    relation = IFRelation(labels, labels, tuple(map(tuple, mu)), tuple(map(tuple, nu)))
+    cells = {
+        (i, j): _random_cell(rng, max_denominator, strict=True)
+        for i in range(n)
+        for j in range(n)
+        if i != j and i & j == i  # powerset carrier indices are the bitmasks
+    }
+    den = lcm(*(d for a, p, b, q in cells.values() for d in (p, q)))
+    mu = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    nu = [[0 if i == j else den for j in range(n)] for i in range(n)]
+    for (i, j), (a, p, b, q) in cells.items():
+        mu[i][j], nu[i][j] = a * (den // p), b * (den // q)
+    relation = IFRelation._build(labels, labels, den, tuple(map(tuple, mu)), tuple(map(tuple, nu)))
     return IFLattice(transitive_closure(relation))
 
 
@@ -138,14 +138,14 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
         return out
 
     index_map = {b: apply(b) for b in range(n)}
-    mu = [[ZERO] * n for _ in range(n)]
-    nu = [[ONE] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mu[index_map[i]][index_map[j]] = lattice.order.mu[i][j]
-            nu[index_map[i]][index_map[j]] = lattice.order.nu[i][j]
-    relation = IFRelation(
-        lattice.carrier, lattice.carrier, tuple(map(tuple, mu)), tuple(map(tuple, nu))
+    back = sorted(range(n), key=index_map.__getitem__)  # back[index_map[b]] == b
+    order = lattice.order
+    relation = IFRelation._build(
+        lattice.carrier,
+        lattice.carrier,
+        order.den,
+        tuple(tuple(order.m[i][j] for j in back) for i in back),
+        tuple(tuple(order.n[i][j] for j in back) for i in back),
     )
     return IFLattice(relation), index_map
 

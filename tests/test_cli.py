@@ -98,6 +98,33 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/nonexistent/file.json")
         assert code == 2
 
+    def test_directory_is_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "validate", str(tmp_path))
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_non_utf8_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"x": "\xff\xfe"}')
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "lattice-check", str(path))
+        assert code == 2
+        assert "nested" in err
+
+    def test_tiny_degree_is_exit_2_with_path(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"x": "1e-5000"}))
+        code, out, err = run(capsys, "contradiction", str(path))
+        assert code == 2
+        assert out == ""
+        assert "$.x" in err and "exponent" in err
+
     def test_explicit_kind(self, tmp_path, capsys):
         path = tmp_path / "alg.json"
         path.write_text(json.dumps({"atoms": ["a", "b"]}))
@@ -276,6 +303,13 @@ class TestCategoryCheck:
         code2, out2, _ = run(capsys, "category-check", "--seed", "3", "--triples", "6")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("count", ["0", "-3", "many"])
+    def test_non_positive_triples_rejected(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["category-check", "--triples", count])
+        assert exc.value.code == 2
+        assert "--triples" in capsys.readouterr().err
 
     def test_different_seeds_may_differ(self, capsys):
         _, out1, _ = run(

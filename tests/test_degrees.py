@@ -53,6 +53,35 @@ class TestDegreeParsing:
             assert format_degree(parse_degree(text)) == text
 
 
+class TestDegreeBounds:
+    @pytest.mark.parametrize("bad", [
+        "1e-5000",  # exponent beyond the cap: refused before Fraction() parses it
+        "1e-3000000",
+        "1E-1_000",
+        "0." + "0" * 99 + "1",  # longer than the text cap
+        "1/" + "1" * 99,
+        "1e-39",  # a denominator of 10**39 > 2**128
+        "1/340282366920938463463374607431768211457",  # 2**128 + 1
+    ])
+    def test_oversized_degrees_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parse_degree(bad)
+
+    def test_largest_accepted_degrees(self):
+        assert parse_degree("1e-38") == Fraction(1, 10**38)
+        assert parse_degree("1/" + str(2**128)) == Fraction(1, 2**128)
+        assert parse_degree("0." + "0" * 93 + "1e+59") == Fraction(1, 10**35)  # 100 characters
+
+    def test_denominator_cap_applies_to_fractions(self):
+        assert degree(Fraction(1, 2**128)) == Fraction(1, 2**128)
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            degree(Fraction(1, 2**128 + 1))
+
+    def test_valid_fraction_is_returned_as_is(self):
+        half = Fraction(1, 2)
+        assert degree(half) is half
+
+
 class TestNegation:
     def test_endpoints(self):
         assert negate(KD, Fraction(0)) == 1

@@ -5,7 +5,14 @@ import pytest
 
 from squareop.algebra import BooleanAlgebra, element_label
 from squareop.degrees import FULL, IFPair
-from squareop.diagram import Diagram, RelationKind, canonical_square, classify, relation_table
+from squareop.diagram import (
+    Diagram,
+    RelationKind,
+    canonical_square,
+    classify,
+    informativity_leq,
+    relation_table,
+)
 from squareop.fuzzydiagram import (
     AnnotatedSquare,
     FuzzyAristotelianDiagram,
@@ -230,6 +237,55 @@ class TestCategoryLaws:
         assert by_law["identity"].checked > 0
         assert by_law["composition-closure"].checked >= 2 * len(triples)
         assert by_law["associativity"].checked >= len(triples)
+
+    def test_laws_match_pairwise_reference(self):
+        # the pairwise scans and per-pair classification the grouped
+        # implementation replaced, as a reference for results and counts
+        def reference_check(m):
+            return all(
+                informativity_leq(
+                    classify_fuzzy(m.source, x, y).kind,
+                    classify_fuzzy(m.target, m.target.fragment[m.mapping[i]],
+                                   m.target.fragment[m.mapping[j]]).kind,
+                )
+                for i, x in enumerate(m.source.fragment)
+                for j, y in enumerate(m.source.fragment)
+            )
+
+        rng = random.Random(5)
+        maps = [m for t in composable_infomorphism_triples(rng, 8) for m in t]
+        fd = embed_diagram(canonical_square())
+        maps += [FuzzyDiagramMap(fd, fd, (0, 0, 0, 0)), FuzzyDiagramMap.identity(fd)]
+        passing = [reference_check(m) for m in maps]
+        assert [check_fuzzy_infomorphism(m) for m in maps] == passing
+        diagrams = []
+        for m in maps:
+            for d in (m.source, m.target):
+                if d not in diagrams:
+                    diagrams.append(d)
+        pairs = [(a, b) for a in maps for b in maps if a.target == b.source]
+        closure = [
+            (a, b) for i, a in enumerate(maps) for j, b in enumerate(maps)
+            if passing[i] and passing[j] and a.target == b.source
+        ]
+        triples = [(a, b, c) for a, b in pairs for c in maps if b.target == c.source]
+        report = verify_category_laws(maps)
+        assert report.excluded == tuple(i for i, ok in enumerate(passing) if not ok)
+        assert [(r.law, r.holds, r.checked) for r in report.laws] == [
+            ("identity", True, len(diagrams) + len(maps)),
+            ("composition-closure",
+             all(reference_check(compose_fuzzy_maps(a, b)) for a, b in closure), len(closure)),
+            ("associativity", True, len(triples)),
+        ]
+
+    def test_kind_table_matches_classification(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            lattice = random_fuzzy_powerset_order(rng, rng.randint(1, 3))
+            d = FuzzyAristotelianDiagram(lattice, lattice.carrier)
+            assert d.kind_table == tuple(
+                tuple(classify_fuzzy(d, x, y).kind for y in d.fragment) for x in d.fragment
+            )
 
     def test_non_infomorphism_is_flagged_and_excluded(self):
         fd = embed_diagram(canonical_square())

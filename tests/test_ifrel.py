@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squareop.degrees import IFPair
+from squareop.degrees import MAX_DEGREE_DENOMINATOR, IFPair
 from squareop.ifrel import (
     IFRelation,
     compose,
@@ -34,6 +35,49 @@ def oracle_compose(r, s):
         mu.append(tuple(mu_row))
         nu.append(tuple(nu_row))
     return IFRelation(r.source, s.target, tuple(mu), tuple(nu))
+
+
+def oracle_closure(r):
+    """Squaring to a fixpoint in Fraction arithmetic, independent of
+    transitive_closure()."""
+    current = r
+    n = len(r.source)
+    while True:
+        comp = oracle_compose(current, current)
+        mu = tuple(
+            tuple(max(current.mu[i][j], comp.mu[i][j]) for j in range(n)) for i in range(n)
+        )
+        nu = tuple(
+            tuple(min(current.nu[i][j], comp.nu[i][j]) for j in range(n)) for i in range(n)
+        )
+        nxt = IFRelation(r.source, r.target, mu, nu)
+        if nxt.mu == current.mu and nxt.nu == current.nu:
+            return nxt
+        current = nxt
+
+
+def oracle_reflexive(r):
+    return all(r.mu[i][i] == 1 and r.nu[i][i] == 0 for i in range(len(r.source)))
+
+
+def oracle_antisymmetric(r):
+    n = len(r.source)
+    for i in range(n):
+        for j in range(n):
+            holds = r.mu[i][j] > 0 or (r.mu[i][j] == 0 and r.nu[i][j] < 1)
+            if i != j and holds and not (r.mu[j][i] == 0 and r.nu[j][i] == 1):
+                return False
+    return True
+
+
+def oracle_transitive(r):
+    rr = oracle_compose(r, r)
+    n = len(r.source)
+    return all(
+        rr.mu[i][j] <= r.mu[i][j] and rr.nu[i][j] >= r.nu[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def crisp(labels, holds):
@@ -254,3 +298,172 @@ class TestTransitiveClosure:
     def test_transitive_input_is_unchanged(self):
         ident = identity_relation(("x", "y"))
         assert transitive_closure(ident) == ident
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the int kernel against the Fraction reference above
+
+# distinct primes from near 2**30 up to 2**127 - 1
+LARGE_PRIMES = (
+    167772161, 469762049, 754974721, 998244353, 1000000007, 1000000009,
+    2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+)
+denominator_pools = st.sampled_from(
+    (tuple(range(1, 13)), LARGE_PRIMES, tuple(range(1, 7)) + LARGE_PRIMES[:4])
+)
+
+
+@st.composite
+def degree_pairs(draw, pool, strict=False):
+    """A valid (mu, nu) pair with each denominator drawn from ``pool``."""
+    p, q = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    a = draw(st.integers(0, p))
+    top = (p - a) * q // p
+    if strict and a == 0:
+        top = min(top, q - 1)
+    return F(a, p), F(draw(st.integers(0, top)), q)
+
+
+def labels_of(prefix, n):
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+@st.composite
+def relations(draw, source, target, pool):
+    cells = [[draw(degree_pairs(pool)) for _ in target] for _ in source]
+    return IFRelation.from_pairs(source, target, [[IFPair(*c) for c in row] for row in cells])
+
+
+@st.composite
+def composable_pairs(draw):
+    pool = draw(denominator_pools)
+    a, b, c = (draw(st.integers(1, 4)) for _ in range(3))
+    xs, ys, zs = labels_of("x", a), labels_of("y", b), labels_of("z", c)
+    return draw(relations(xs, ys, pool)), draw(relations(ys, zs, pool))
+
+
+@st.composite
+def square_relations(draw):
+    """Order-like relations: a reflexive edge pattern along a random linear
+    extension, with one cell possibly disturbed (any cell, or the reverse of
+    an edge), then possibly closed, so every order check both passes and
+    fails."""
+    pool = draw(denominator_pools)
+    n = draw(st.integers(1, 5))
+    labels = labels_of("e", n)
+    rank = draw(st.permutations(range(n)))
+    mu = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    nu = [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rank[i] < rank[j] and draw(st.booleans()):
+                mu[i][j], nu[i][j] = draw(degree_pairs(pool, strict=True))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    disturb = draw(st.sampled_from(("none", "cell", "reverse")))
+    if disturb == "cell":
+        mu[i][j], nu[i][j] = draw(degree_pairs(pool))
+    elif disturb == "reverse" and i != j:
+        mu[j][i], nu[j][i] = draw(degree_pairs(pool, strict=True))
+        mu[i][j], nu[i][j] = draw(degree_pairs(pool, strict=True))
+    r = IFRelation(labels, labels, mu, nu)
+    return transitive_closure(r) if draw(st.booleans()) else r
+
+
+def assert_canonical(r):
+    """den is the lcm of the reduced cell denominators and matches mu/nu."""
+    degrees = [d for row in r.mu + r.nu for d in row]
+    assert r.den == lcm(*(d.denominator for d in degrees))
+    assert r.mu == tuple(tuple(F(k, r.den) for k in row) for row in r.m)
+    assert r.nu == tuple(tuple(F(k, r.den) for k in row) for row in r.n)
+
+
+class TestIntKernelDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(composable_pairs())
+    def test_compose_matches_fraction_reference(self, rs):
+        r, s = rs
+        out = compose(r, s)
+        ref = oracle_compose(r, s)
+        assert out == ref and hash(out) == hash(ref)
+        assert out.mu == ref.mu and out.nu == ref.nu
+        assert_canonical(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_relations())
+    def test_closure_matches_squaring_fixpoint(self, r):
+        out = transitive_closure(r)
+        ref = oracle_closure(r)
+        assert out == ref
+        assert out.mu == ref.mu and out.nu == ref.nu
+        assert_canonical(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_relations())
+    def test_order_checks_match_fraction_reference(self, r):
+        assert is_reflexive(r) == oracle_reflexive(r)
+        assert is_perfectly_antisymmetric(r) == oracle_antisymmetric(r)
+        assert is_transitive(r) == oracle_transitive(r)
+        assert is_partial_order(r) == (
+            oracle_reflexive(r) and oracle_antisymmetric(r) and oracle_transitive(r)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cell_over_one_by_1_over_den_rejected(self, data):
+        pool = data.draw(denominator_pools)
+        n = data.draw(st.integers(1, 4))
+        labels = labels_of("e", n)
+        r = data.draw(relations(labels, labels, pool))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        # the smallest excess a cell over denominator den can have
+        den = data.draw(st.sampled_from(pool))
+        k = data.draw(st.integers(1, den))
+        mu = [list(row) for row in r.mu]
+        nu = [list(row) for row in r.nu]
+        mu[i][j], nu[i][j] = F(k, den), F(den - k + 1, den)
+        with pytest.raises(ValueError, match=rf"mu \+ nu > 1 at cell \({i}, {j}\)"):
+            IFRelation(labels, labels, mu, nu)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 2**64))
+    def test_degree_over_the_denominator_cap_rejected(self, extra):
+        labels = ("x",)
+        IFRelation(labels, labels, ((F(0),),), ((F(1, MAX_DEGREE_DENOMINATOR),),))
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*128"):
+            IFRelation(
+                labels, labels, ((F(0),),), ((F(1, MAX_DEGREE_DENOMINATOR + extra),),)
+            )
+
+
+class TestIntRepresentation:
+    def test_equal_values_over_different_denominators_are_equal(self):
+        labels = ("x", "y")
+        r = IFRelation(labels, labels, ((F(2, 4), F(0)), (F(0), F(1))),
+                       ((F(1, 4), F(1)), (F(1), F(0))))
+        s = IFRelation(labels, labels, ((F(1, 2), F(0)), (F(0), F(1))),
+                       ((F(1, 4), F(1)), (F(1), F(0))))
+        assert r == s and hash(r) == hash(s)
+        assert r.den == 4 and r.m == ((2, 0), (0, 4)) and r.n == ((1, 4), (4, 0))
+
+    def test_denominator_shrinks_when_values_drop_out(self):
+        labels = ("x", "y", "z")
+        r = IFRelation(
+            labels, labels,
+            ((F(1), F(1, 2), F(1, 6)), (F(0), F(1), F(1, 2)), (F(0), F(0), F(1))),
+            ((F(0), F(1, 2), F(1, 2)), (F(1), F(0), F(1, 2)), (F(1), F(1), F(0))),
+        )
+        assert r.den == 6
+        # the chain x -> y -> z lifts mu(x, z) from 1/6 to 1/2: only halves remain
+        closed = transitive_closure(r)
+        assert closed.den == 2 and closed.m[0][2] == 1
+        assert closed == oracle_closure(r)
+
+    def test_input_fractions_are_kept(self):
+        half = F(1, 2)
+        r = IFRelation(("x",), ("x",), ((half,),), ((half,),))
+        assert r.mu[0][0] is half and r.pair(0, 0).mu is half
+
+    def test_relations_are_immutable(self):
+        r = identity_relation(("x", "y"))
+        with pytest.raises(AttributeError):
+            r.den = 2

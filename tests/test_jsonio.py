@@ -99,6 +99,35 @@ class TestDiagnostics:
             relation_from_json(payload)
         assert "exceeds 1" in str(exc.value)
 
+    def test_invariant_violation_path_names_the_cell(self):
+        payload = {
+            "set": ["x", "y"],
+            "mu": [["1", "1/3"], ["0", "1"]],
+            "nu": [["0", "2/3"], ["1", "1/1000000007"]],
+        }
+        with pytest.raises(InputFormatError) as exc:
+            relation_from_json(payload)
+        assert exc.value.path == "$.mu[1][1]"
+        assert "1000000008/1000000007 exceeds 1" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", ["1e-5000", "1/" + str(2**128 + 1), "0." + "0" * 120])
+    def test_oversized_degree_points_at_cell(self, bad):
+        payload = {
+            "set": ["x", "y"],
+            "mu": [["1", "0"], ["0", "1"]],
+            "nu": [["0", bad], ["1", "0"]],
+        }
+        with pytest.raises(InputFormatError) as exc:
+            relation_from_json(payload)
+        assert exc.value.path == "$.nu[0][1]"
+
+    def test_parsed_relation_keeps_parsed_degrees(self):
+        payload = {"set": ["x", "y"], "mu": [["1", "2/4"], ["0", "1"]],
+                   "nu": [["0", "0.25"], ["1", "0"]]}
+        r = relation_from_json(payload)
+        assert r.den == 4 and r.m == ((4, 2), (0, 4)) and r.n == ((0, 1), (4, 0))
+        assert r.mu[0][1] == Fraction(1, 2) and r.nu[0][1] == Fraction(1, 4)
+
     def test_wrong_matrix_shape(self):
         payload = {"set": ["x", "y"], "mu": [["1"]], "nu": [["0"]]}
         with pytest.raises(InputFormatError, match="rows"):
