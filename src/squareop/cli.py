@@ -57,8 +57,8 @@ def _load(path: str):
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}", BAD_INPUT)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text (byte offset {exc.start})", BAD_INPUT)
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text", BAD_INPUT)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", BAD_INPUT)
     except RecursionError:

@@ -34,7 +34,9 @@ MAX_DEGREE_TEXT = 100
 MAX_DEGREE_EXPONENT = 100
 MAX_DEGREE_DENOMINATOR = 2**128
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+# Fraction()'s own exponent grammar: \d is any Unicode decimal digit, which
+# int() reads too, so "1e-" followed by fullwidth digits is capped as well
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 
 
 def degree(value: int | str | Fraction) -> Fraction:

@@ -25,12 +25,16 @@ Validation happens once, at the input boundary: the public constructor (and
 ``jsonio``, which reports JSON paths) checks labels, shapes and every degree
 through ``degrees.degree``.  Relations computed from other relations
 (composites, closures, samples, relabelings) skip that pass and check only
-the int invariant 0 <= m, 0 <= n, m + n <= den.
+the int invariant 0 <= m, 0 <= n, m + n <= den.  ``_from_degrees`` turns
+degree matrices its caller validated into the int form and ``_build`` takes
+ints; both are internal.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Sequence
@@ -50,14 +54,12 @@ def _check_labels(labels: tuple[str, ...], role: str) -> None:
         raise ValueError(f"{role} labels must be non-empty strings")
 
 
-def _common_denominator(mu: Matrix, nu: Matrix) -> tuple[int, IntMatrix, IntMatrix]:
-    """Validated degree matrices as (den, m, n) over the lcm of their denominators."""
-    den = lcm(*(d.denominator for row in chain(mu, nu) for d in row))
+class DegreeSumError(ValueError):
+    """A cell has mu + nu > 1; ``cell`` is its (row, column)."""
 
-    def ints(matrix: Matrix) -> IntMatrix:
-        return tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in matrix)
-
-    return den, ints(mu), ints(nu)
+    def __init__(self, message: str, cell: tuple[int, int]):
+        super().__init__(message)
+        self.cell = cell
 
 
 def _bad_cell(den: int, m: IntMatrix, n: IntMatrix) -> tuple[int, int] | None:
@@ -81,6 +83,7 @@ def _scaled(matrix: IntMatrix, factor: int) -> IntMatrix:
     return tuple(tuple(x * factor for x in row) for row in matrix)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IFRelation:
     """Degree-matrix pair over ``source`` x ``target``, stored as ints over ``den``."""
 
@@ -93,45 +96,64 @@ class IFRelation:
     def __init__(
         self, source: Sequence[str], target: Sequence[str], mu: Matrix, nu: Matrix
     ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_nu", nu)
+        # the raw arguments; __post_init__ validates them and sets the int form
+        self.__dict__.update(source=source, target=target, mu=mu, nu=nu)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         source, target = tuple(self.source), tuple(self.target)
         _check_labels(source, "source")
         _check_labels(target, "target")
-        mu = tuple(tuple(degree(v) for v in row) for row in self._mu)
-        nu = tuple(tuple(degree(v) for v in row) for row in self._nu)
+        mu = tuple(tuple(degree(v) for v in row) for row in self.mu)
+        nu = tuple(tuple(degree(v) for v in row) for row in self.nu)
         rows, cols = len(source), len(target)
         for name, matrix in (("mu", mu), ("nu", nu)):
             if len(matrix) != rows or any(len(r) != cols for r in matrix):
                 raise ValueError(f"{name} matrix must be {rows}x{cols}")
-        den, m, n = _common_denominator(mu, nu)
+        self._store(source, target, mu, nu)
+
+    def _store(
+        self, source: tuple[str, ...], target: tuple[str, ...], mu: Matrix, nu: Matrix
+    ) -> None:
+        """Set the int form of validated degree matrices of the right shape.
+
+        Raises ``DegreeSumError`` at the first cell with mu + nu > 1.  The
+        lcm of reduced denominators is already canonical.
+        """
+        den = lcm(*(d.denominator for row in chain(mu, nu) for d in row))
+
+        def ints(matrix: Matrix) -> IntMatrix:
+            return tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in matrix)
+
+        m, n = ints(mu), ints(nu)
         cell = _bad_cell(den, m, n)
         if cell is not None:
             i, j = cell
-            raise ValueError(
+            raise DegreeSumError(
                 f"mu + nu > 1 at cell ({i}, {j}): "
-                f"{mu[i][j]} + {nu[i][j]} = {mu[i][j] + nu[i][j]}"
+                f"{mu[i][j]} + {nu[i][j]} = {mu[i][j] + nu[i][j]}",
+                cell,
             )
-        self._set(source, target, den, m, n, mu, nu)
+        self.__dict__.update(source=source, target=target, den=den, m=m, n=n, mu=mu, nu=nu)
+
+    @classmethod
+    def _from_degrees(
+        cls, source: tuple[str, ...], target: tuple[str, ...], mu: Matrix, nu: Matrix
+    ) -> "IFRelation":
+        """Internal constructor for degrees the caller already validated
+        (``jsonio``, the samplers): no second ``degree`` pass."""
+        r = object.__new__(cls)
+        r._store(source, target, mu, nu)
+        _check_labels(source, "source")
+        _check_labels(target, "target")
+        return r
 
     @classmethod
     def _build(
-        cls,
-        source: tuple[str, ...],
-        target: tuple[str, ...],
-        den: int,
-        m: IntMatrix,
-        n: IntMatrix,
-        mu: Matrix | None = None,
-        nu: Matrix | None = None,
+        cls, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
     ) -> "IFRelation":
-        """Internal constructor: labels and shapes are trusted, the int
-        invariant is checked and ``den`` is made canonical."""
+        """Internal constructor from ints: labels and shapes are trusted, the
+        int invariant is checked and ``den`` is made canonical."""
         cell = _bad_cell(den, m, n)
         if cell is not None:
             raise ValueError(f"computed relation breaks mu + nu <= 1 at cell {cell}")
@@ -141,48 +163,16 @@ class IFRelation:
             m = tuple(tuple(x // g for x in row) for row in m)
             n = tuple(tuple(x // g for x in row) for row in n)
         r = object.__new__(cls)
-        r._set(source, target, den, m, n, mu, nu)
+        r.__dict__.update(source=source, target=target, den=den, m=m, n=n)
         return r
 
-    def _set(self, source, target, den, m, n, mu, nu) -> None:
-        for name, value in (("source", source), ("target", target), ("den", den), ("m", m),
-                            ("n", n), ("_mu", mu), ("_nu", nu), ("_hash", None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"IFRelation is immutable: cannot set {name!r}")
-
-    @property
+    @cached_property
     def mu(self) -> Matrix:
-        if self._mu is None:
-            object.__setattr__(self, "_mu", _fractions(self.m, self.den))
-        return self._mu
+        return _fractions(self.m, self.den)
 
-    @property
+    @cached_property
     def nu(self) -> Matrix:
-        if self._nu is None:
-            object.__setattr__(self, "_nu", _fractions(self.n, self.den))
-        return self._nu
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, IFRelation):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and self.m == other.m
-            and self.n == other.n
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.source, self.target, self.den, self.m, self.n))
-            )
-        return self._hash
+        return _fractions(self.n, self.den)
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,7 @@ from .algebra import BooleanAlgebra, Element
 from .degrees import FuzzySet, IFPair, degree
 from .diagram import Diagram
 from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram
-from .ifrel import IFRelation, _bad_cell, _check_labels, _common_denominator
+from .ifrel import DegreeSumError, IFRelation
 from .iflattice import IFLattice, LatticeCertification
 
 
@@ -169,16 +169,13 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
     n = len(labels)
     mu = _degree_matrix(record["mu"], n, n, f"{path}.mu")
     nu = _degree_matrix(record["nu"], n, n, f"{path}.nu")
-    # the degrees are validated: build the int form without a second pass
-    den, ints_mu, ints_nu = _common_denominator(mu, nu)
-    cell = _bad_cell(den, ints_mu, ints_nu)
-    if cell is not None:
-        i, j = cell
+    try:
+        return IFRelation._from_degrees(labels, labels, mu, nu)
+    except DegreeSumError as exc:
+        i, j = exc.cell
         raise InputFormatError(
             f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"{path}.mu[{i}][{j}]"
-        )
-    _check_labels(labels, "source")
-    return IFRelation._build(labels, labels, den, ints_mu, ints_nu, mu, nu)
+        ) from None
 
 
 def lattice_to_json(lattice: IFLattice) -> dict:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .algebra import BooleanAlgebra
-from .degrees import IFPair
+from .degrees import ONE, ZERO, IFPair
 from .diagram import Diagram
 from .fuzzydiagram import (
     FuzzyAristotelianDiagram,
@@ -92,18 +91,16 @@ def random_fuzzy_powerset_order(
     crisp = powerset_lattice(algebra)
     labels = crisp.carrier
     n = len(labels)
-    cells = {
-        (i, j): _random_cell(rng, max_denominator, strict=True)
-        for i in range(n)
-        for j in range(n)
-        if i != j and i & j == i  # powerset carrier indices are the bitmasks
-    }
-    den = lcm(*(d for a, p, b, q in cells.values() for d in (p, q)))
-    mu = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    nu = [[0 if i == j else den for j in range(n)] for i in range(n)]
-    for (i, j), (a, p, b, q) in cells.items():
-        mu[i][j], nu[i][j] = a * (den // p), b * (den // q)
-    relation = IFRelation._build(labels, labels, den, tuple(map(tuple, mu)), tuple(map(tuple, nu)))
+    mu = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    nu = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and i & j == i:  # powerset carrier indices are the bitmasks
+                a, p, b, q = _random_cell(rng, max_denominator, strict=True)
+                mu[i][j], nu[i][j] = Fraction(a, p), Fraction(b, q)
+    relation = IFRelation._from_degrees(
+        labels, labels, tuple(map(tuple, mu)), tuple(map(tuple, nu))
+    )
     return IFLattice(transitive_closure(relation))
 
 

@@ -117,9 +117,10 @@ class TestValidate:
         assert code == 2
         assert "nested" in err
 
-    def test_tiny_degree_is_exit_2_with_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tiny", ["1e-5000", "1e-" + "\u0669" * 20])
+    def test_tiny_degree_is_exit_2_with_path(self, tmp_path, capsys, tiny):
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({"x": "1e-5000"}))
+        path.write_text(json.dumps({"x": tiny}, ensure_ascii=False), encoding="utf-8")
         code, out, err = run(capsys, "contradiction", str(path))
         assert code == 2
         assert out == ""

@@ -58,6 +58,10 @@ class TestDegreeBounds:
         "1e-5000",  # exponent beyond the cap: refused before Fraction() parses it
         "1e-3000000",
         "1E-1_000",
+        # Fraction() and int() read any Unicode decimal digit in the exponent
+        "1e-" + "\u0669" * 20,  # ARABIC-INDIC DIGIT NINE
+        "1e-9" + "\uff19" * 20,  # FULLWIDTH DIGIT NINE
+        "1E+\uff11\uff10\uff11",  # +101
         "0." + "0" * 99 + "1",  # longer than the text cap
         "1/" + "1" * 99,
         "1e-39",  # a denominator of 10**39 > 2**128
@@ -71,6 +75,7 @@ class TestDegreeBounds:
         assert parse_degree("1e-38") == Fraction(1, 10**38)
         assert parse_degree("1/" + str(2**128)) == Fraction(1, 2**128)
         assert parse_degree("0." + "0" * 93 + "1e+59") == Fraction(1, 10**35)  # 100 characters
+        assert parse_degree("1e-\u0663\uff18") == Fraction(1, 10**38)  # non-ASCII 38
 
     def test_denominator_cap_applies_to_fractions(self):
         assert degree(Fraction(1, 2**128)) == Fraction(1, 2**128)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from squareop.degrees import MAX_DEGREE_DENOMINATOR, IFPair
 from squareop.ifrel import (
+    DegreeSumError,
     IFRelation,
     compose,
     identity_relation,
@@ -421,8 +422,9 @@ class TestIntKernelDifferential:
         mu = [list(row) for row in r.mu]
         nu = [list(row) for row in r.nu]
         mu[i][j], nu[i][j] = F(k, den), F(den - k + 1, den)
-        with pytest.raises(ValueError, match=rf"mu \+ nu > 1 at cell \({i}, {j}\)"):
+        with pytest.raises(DegreeSumError, match=rf"mu \+ nu > 1 at cell \({i}, {j}\)") as exc:
             IFRelation(labels, labels, mu, nu)
+        assert exc.value.cell == (i, j)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 2**64))
@@ -467,3 +469,10 @@ class TestIntRepresentation:
         r = identity_relation(("x", "y"))
         with pytest.raises(AttributeError):
             r.den = 2
+        with pytest.raises(AttributeError):
+            r.mu = ((F(0),),)
+
+    def test_computed_relation_builds_its_fractions_once(self):
+        r = compose(identity_relation(("x", "y")), identity_relation(("x", "y")))
+        assert r.mu is r.mu and r.mu == ((F(1), F(0)), (F(0), F(1)))
+        assert r.nu[0][1] == F(1) and r.pair(0, 1) == IFPair(F(0), F(1))

@@ -110,7 +110,9 @@ class TestDiagnostics:
         assert exc.value.path == "$.mu[1][1]"
         assert "1000000008/1000000007 exceeds 1" in str(exc.value)
 
-    @pytest.mark.parametrize("bad", ["1e-5000", "1/" + str(2**128 + 1), "0." + "0" * 120])
+    @pytest.mark.parametrize("bad", [
+        "1e-5000", "1e-" + "\uff19" * 20, "1/" + str(2**128 + 1), "0." + "0" * 120,
+    ])
     def test_oversized_degree_points_at_cell(self, bad):
         payload = {
             "set": ["x", "y"],
