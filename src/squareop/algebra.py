@@ -12,6 +12,7 @@ they are safe to share across threads without coordination.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -239,33 +240,18 @@ def verify_axioms(
                 raise ValueError(f"complement override {k} -> {v} out of carrier range")
             comp[k] = v
 
-    def wrap(*bits: int) -> tuple[Element, ...]:
-        return tuple(Element(b, algebra) for b in bits)
-
     checks: list[LawCheck] = []
 
     def run(law: str, group: int, arity: int, predicate) -> None:
-        counterexample: tuple[Element, ...] | None = None
-        checked = 0
-        if arity == 1:
-            for a in range(size):
-                checked += 1
-                if counterexample is None and not predicate(a):
-                    counterexample = wrap(a)
-        elif arity == 2:
-            for a in range(size):
-                for b in range(size):
-                    checked += 1
-                    if counterexample is None and not predicate(a, b):
-                        counterexample = wrap(a, b)
-        else:
-            for a in range(size):
-                for b in range(size):
-                    for c in range(size):
-                        checked += 1
-                        if counterexample is None and not predicate(a, b, c):
-                            counterexample = wrap(a, b, c)
-        checks.append(LawCheck(law, group, counterexample is None, checked, counterexample))
+        counterexample = next(
+            (
+                tuple(Element(b, algebra) for b in args)
+                for args in itertools.product(range(size), repeat=arity)
+                if not predicate(*args)
+            ),
+            None,
+        )
+        checks.append(LawCheck(law, group, counterexample is None, size**arity, counterexample))
 
     run("idempotence", 1, 1, lambda a: a & a == a and a | a == a)
     run("commutativity", 1, 2, lambda a, b: a & b == b & a and a | b == b | a)

@@ -26,9 +26,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import AlgebraMismatchError, BooleanAlgebra, Element, element_label
+
+if TYPE_CHECKING:
+    from .fuzzydiagram import FuzzyAristotelianDiagram
 
 MAX_ISO_FRAGMENT = 10
 
@@ -62,45 +66,73 @@ INFORMATIVITY_COVERS: tuple[tuple[RelationKind, RelationKind], ...] = (
 )
 
 
-@lru_cache(maxsize=1)
+#: The informativity order as a set of (less, more informative) pairs: the
+#: reflexive pairs, the covers, and the two pairs they imply by transitivity.
+_INFORMATIVITY_ORDER = frozenset(
+    {(r, r) for r in RelationKind}
+    | set(INFORMATIVITY_COVERS)
+    | {(RelationKind.UN, RelationKind.BI), (RelationKind.UN, RelationKind.CD)}
+)
+
+
 def informativity_order() -> frozenset[tuple[RelationKind, RelationKind]]:
     """Reflexive-transitive closure of the generating informativity pairs."""
-    pairs = {(r, r) for r in RelationKind}
-    pairs.update(INFORMATIVITY_COVERS)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return frozenset(pairs)
+    return _INFORMATIVITY_ORDER
 
 
 def informativity_leq(r: RelationKind, s: RelationKind) -> bool:
     """True iff relation ``s`` is at least as informative as ``r``."""
-    return (r, s) in informativity_order()
+    return (r, s) in _INFORMATIVITY_ORDER
+
+
+def _kind_table(
+    points: Sequence[int],
+    leq: Callable[[int, int], bool],
+    meet_bottom: Callable[[int, int], bool],
+    join_top: Callable[[int, int], bool],
+) -> tuple[tuple[RelationKind, ...], ...]:
+    """The seven-clause kind of every ordered pair of ``points``.
+
+    This is the one classifier behind crisp and fuzzy diagrams: points are
+    ids of lattice elements (equal ids, equal elements), ``leq`` is the
+    lattice order on them, and the other two predicates say whether a pair's
+    meet is the bottom and its join the top.
+    """
+
+    def kind(x: int, y: int) -> RelationKind:
+        if x == y:
+            return RelationKind.BI
+        if leq(x, y):
+            return RelationKind.LI
+        if leq(y, x):
+            return RelationKind.RI
+        meet_is_bottom = meet_bottom(x, y)
+        join_is_top = join_top(x, y)
+        if meet_is_bottom and join_is_top:
+            return RelationKind.CD
+        if meet_is_bottom:
+            return RelationKind.C
+        if join_is_top:
+            return RelationKind.SC
+        return RelationKind.UN
+
+    return tuple(tuple(kind(x, y) for y in points) for x in points)
+
+
+def _bitmask_kind_table(points: Sequence[int], mask: int) -> tuple[tuple[RelationKind, ...], ...]:
+    """Kind table of bitmask elements of the powerset algebra with top ``mask``."""
+    return _kind_table(
+        points,
+        lambda x, y: x & y == x,
+        lambda x, y: x & y == 0,
+        lambda x, y: x | y == mask,
+    )
 
 
 def classify(x: Element, y: Element) -> RelationKind:
     """Classify the logical relation between two elements of one algebra."""
     x._require_same_algebra(y)
-    if x == y:
-        return RelationKind.BI
-    if x.lt(y):
-        return RelationKind.LI
-    if y.lt(x):
-        return RelationKind.RI
-    meet_bottom = (x.bits & y.bits) == 0
-    join_top = (x.bits | y.bits) == x.algebra.mask
-    if meet_bottom and join_top:
-        return RelationKind.CD
-    if meet_bottom:
-        return RelationKind.C
-    if join_top:
-        return RelationKind.SC
-    return RelationKind.UN
+    return _bitmask_kind_table((x.bits, y.bits), x.algebra.mask)[0][1]
 
 
 @dataclass(frozen=True)
@@ -133,13 +165,21 @@ class Diagram:
         """Whether every fragment element avoids both bounds 0 and 1."""
         return all(e.is_contingent for e in self.fragment)
 
+    @cached_property
+    def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
+        """The seven-clause kind of every fragment pair; the diagonal is BI."""
+        bits = tuple(e.bits for e in self.fragment)
+        return _bitmask_kind_table(bits, self.algebra.mask)
+
     def __len__(self) -> int:
         return len(self.fragment)
 
 
-def relation_table(d: Diagram) -> tuple[tuple[RelationKind, ...], ...]:
+def relation_table(
+    d: Diagram | FuzzyAristotelianDiagram,
+) -> tuple[tuple[RelationKind, ...], ...]:
     """Square matrix of relation kinds over the fragment; diagonal is BI."""
-    return tuple(tuple(classify(x, y) for y in d.fragment) for x in d.fragment)
+    return d.kind_table
 
 
 def canonical_square() -> Diagram:
@@ -163,10 +203,14 @@ def canonical_square() -> Diagram:
 
 @dataclass(frozen=True)
 class DiagramMap:
-    """A total function between diagram fragments, as target indices."""
+    """A total function between diagram fragments, as target indices.
 
-    source: Diagram
-    target: Diagram
+    Maps, isomorphisms and infomorphisms read only a diagram's ``fragment``
+    and ``kind_table``, so they serve crisp and fuzzy diagrams alike.
+    """
+
+    source: Diagram | FuzzyAristotelianDiagram
+    target: Diagram | FuzzyAristotelianDiagram
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -185,7 +229,7 @@ class DiagramMap:
         ) == len(self.mapping)
 
     @classmethod
-    def identity(cls, d: Diagram) -> "DiagramMap":
+    def identity(cls, d: Diagram | FuzzyAristotelianDiagram) -> "DiagramMap":
         return cls(d, d, tuple(range(len(d.fragment))))
 
 
@@ -200,15 +244,15 @@ def check_iso(m: DiagramMap) -> bool:
     """Whether a bijective map preserves every relation kind exactly."""
     if not m.is_bijection:
         raise ValueError("check_iso requires a bijective mapping")
-    t1 = relation_table(m.source)
-    t2 = relation_table(m.target)
-    n = len(m.source.fragment)
+    source, target, f = m.source.kind_table, m.target.kind_table, m.mapping
     return all(
-        t1[i][j] == t2[m.mapping[i]][m.mapping[j]] for i in range(n) for j in range(n)
+        kind == target[f[i]][f[j]] for i, row in enumerate(source) for j, kind in enumerate(row)
     )
 
 
-def find_isos(d1: Diagram, d2: Diagram) -> list[DiagramMap]:
+def find_isos(
+    d1: Diagram | FuzzyAristotelianDiagram, d2: Diagram | FuzzyAristotelianDiagram
+) -> list[DiagramMap]:
     """All relation-preserving bijections between two fragments.
 
     Backtracking search with relation-compatibility pruning; results are in
@@ -221,8 +265,8 @@ def find_isos(d1: Diagram, d2: Diagram) -> list[DiagramMap]:
         return []
     if n > MAX_ISO_FRAGMENT:
         raise ValueError(f"fragments larger than {MAX_ISO_FRAGMENT} are refused")
-    t1 = relation_table(d1)
-    t2 = relation_table(d2)
+    t1 = d1.kind_table
+    t2 = d2.kind_table
     found: list[DiagramMap] = []
     assigned: list[int] = []
     used = [False] * n
@@ -250,12 +294,10 @@ def find_isos(d1: Diagram, d2: Diagram) -> list[DiagramMap]:
 
 
 def check_infomorphism(m: DiagramMap) -> bool:
-    """Whether the map never loses informativity on any pair."""
-    t1 = relation_table(m.source)
-    t2 = relation_table(m.target)
-    n = len(m.source.fragment)
+    """Whether the map never loses informativity on any fragment pair."""
+    source, target, f = m.source.kind_table, m.target.kind_table, m.mapping
     return all(
-        informativity_leq(t1[i][j], t2[m.mapping[i]][m.mapping[j]])
-        for i in range(n)
-        for j in range(n)
+        informativity_leq(kind, target[f[i]][f[j]])
+        for i, row in enumerate(source)
+        for j, kind in enumerate(row)
     )

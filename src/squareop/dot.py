@@ -8,13 +8,17 @@ Output is deterministic: nodes in fragment order, edges by index pair.
 
 from __future__ import annotations
 
-from .diagram import Diagram, RelationKind, relation_table
+from typing import Callable
+
+from .diagram import Diagram, RelationKind
 from .fuzzydiagram import FuzzyAristotelianDiagram, fuzzy_relation_table
 
 _EDGE_STYLE = {
     RelationKind.CD: "style=dashed, dir=none",
     RelationKind.C: "style=solid, dir=none",
     RelationKind.SC: "style=dotted, dir=none",
+    RelationKind.LI: "style=solid",
+    RelationKind.RI: "style=solid",
 }
 
 
@@ -22,39 +26,27 @@ def _quote(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render(labels: tuple[str, ...], entries: list[tuple[int, int, RelationKind, str]]) -> str:
+def _render(d: Diagram | FuzzyAristotelianDiagram, suffix: Callable[[int, int], str]) -> str:
+    """DOT text of ``d``'s kind table; ``suffix(i, j)`` ends the edge label of (i, j)."""
     lines = ["digraph aristotelian {", "  rankdir=TB;", "  node [shape=box];"]
-    for i, label in enumerate(labels):
+    for i, label in enumerate(d.labels):
         lines.append(f"  n{i} [label={_quote(label)}];")
-    for i, j, kind, annotation in entries:
-        label = kind.value + annotation
-        if kind in _EDGE_STYLE:
-            lines.append(f"  n{i} -> n{j} [{_EDGE_STYLE[kind]}, label={_quote(label)}];")
-        elif kind == RelationKind.LI:
-            lines.append(f"  n{i} -> n{j} [style=solid, label={_quote(label)}];")
-        elif kind == RelationKind.RI:
-            lines.append(f"  n{j} -> n{i} [style=solid, label={_quote('LI' + annotation)}];")
+    for i, row in enumerate(d.kind_table):
+        for j in range(i + 1, len(row)):
+            kind = row[j]
+            if kind not in _EDGE_STYLE:
+                continue
+            tail, head, name = (j, i, "LI") if kind == RelationKind.RI else (i, j, kind.value)
+            label = _quote(name + suffix(i, j))
+            lines.append(f"  n{tail} -> n{head} [{_EDGE_STYLE[kind]}, label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def diagram_to_dot(d: Diagram) -> str:
-    table = relation_table(d)
-    entries = []
-    for i in range(len(d.fragment)):
-        for j in range(i + 1, len(d.fragment)):
-            kind = table[i][j]
-            if kind not in (RelationKind.UN, RelationKind.BI):
-                entries.append((i, j, kind, ""))
-    return _render(d.labels, entries)
+    return _render(d, lambda i, j: "")
 
 
 def fuzzy_diagram_to_dot(d: FuzzyAristotelianDiagram) -> str:
     table = fuzzy_relation_table(d)
-    entries = []
-    for i in range(len(d.fragment)):
-        for j in range(i + 1, len(d.fragment)):
-            kind, pair = table[i][j]
-            if kind not in (RelationKind.UN, RelationKind.BI):
-                entries.append((i, j, kind, f" ({pair.mu},{pair.nu})"))
-    return _render(d.labels, entries)
+    return _render(d, lambda i, j: " ({0.mu},{0.nu})".format(table[i][j].annotation))

@@ -30,7 +30,16 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import element_label
 from .degrees import FULL, IFPair, degree
-from .diagram import Diagram, RelationKind, canonical_square, informativity_leq, relation_table
+from .diagram import (
+    Diagram,
+    DiagramMap,
+    RelationKind,
+    _kind_table,
+    canonical_square,
+    check_infomorphism,
+    compose_maps,
+    relation_table,
+)
 from .iflattice import IFLattice, LawViolationError, powerset_lattice
 
 DEFAULT_TOLERANCE = Fraction(1, 100)
@@ -72,25 +81,14 @@ class FuzzyAristotelianDiagram:
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
         """The seven-clause kind of every fragment pair, in the derived order."""
         lat = self.lattice
-
-        def kind(x: str, y: str) -> RelationKind:
-            if x == y:
-                return RelationKind.BI
-            if lat.dominates(x, y):
-                return RelationKind.LI
-            if lat.dominates(y, x):
-                return RelationKind.RI
-            meet_bottom = lat.glb(x, y) == lat.bottom
-            join_top = lat.lub(x, y) == lat.top
-            if meet_bottom and join_top:
-                return RelationKind.CD
-            if meet_bottom:
-                return RelationKind.C
-            if join_top:
-                return RelationKind.SC
-            return RelationKind.UN
-
-        return tuple(tuple(kind(x, y) for y in self.fragment) for x in self.fragment)
+        leq, glb, lub = lat.underlying_order, lat._glb_table, lat._lub_table
+        bottom, top = lat.index(lat.bottom), lat.index(lat.top)
+        return _kind_table(
+            tuple(map(lat.index, self.fragment)),
+            lambda x, y: leq[x][y],
+            lambda x, y: glb[x][y] == bottom,
+            lambda x, y: lub[x][y] == top,
+        )
 
     def __len__(self) -> int:
         return len(self.fragment)
@@ -138,43 +136,10 @@ def fuzzy_relation_table(
     )
 
 
-@dataclass(frozen=True)
-class FuzzyDiagramMap:
-    """A total function between fuzzy diagram fragments, as target indices."""
-
-    source: FuzzyAristotelianDiagram
-    target: FuzzyAristotelianDiagram
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if len(self.mapping) != len(self.source.fragment):
-            raise ValueError("mapping must be total on the source fragment")
-        for j in self.mapping:
-            if not 0 <= j < len(self.target.fragment):
-                raise ValueError(f"mapping target index {j} out of range")
-
-    @classmethod
-    def identity(cls, d: FuzzyAristotelianDiagram) -> "FuzzyDiagramMap":
-        return cls(d, d, tuple(range(len(d.fragment))))
-
-
-def compose_fuzzy_maps(first: FuzzyDiagramMap, second: FuzzyDiagramMap) -> FuzzyDiagramMap:
-    if first.target != second.source:
-        raise ValueError("maps are not composable: first.target differs from second.source")
-    return FuzzyDiagramMap(
-        first.source, second.target, tuple(second.mapping[j] for j in first.mapping)
-    )
-
-
-def check_fuzzy_infomorphism(m: FuzzyDiagramMap) -> bool:
-    """Whether the map never loses informativity on any fragment pair."""
-    source, target, f = m.source.kind_table, m.target.kind_table, m.mapping
-    return all(
-        informativity_leq(kind, target[f[i]][f[j]])
-        for i, row in enumerate(source)
-        for j, kind in enumerate(row)
-    )
+# the map layer is shared with crisp diagrams; these names are kept as aliases
+FuzzyDiagramMap = DiagramMap
+compose_fuzzy_maps = compose_maps
+check_fuzzy_infomorphism = check_infomorphism
 
 
 def check_if_homomorphism(
@@ -234,8 +199,8 @@ class CategoryLawReport:
         return all(r.holds for r in self.laws)
 
 
-def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
-    """Check the category laws on a sample of fuzzy diagram maps.
+def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
+    """Check the category laws on a sample of diagram maps.
 
     1. identity: identity maps are infomorphisms and are neutral for
        composition against every sample map;
@@ -248,12 +213,12 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
     skipped, not fatal.
     """
     maps = list(maps)
-    passing = [check_fuzzy_infomorphism(m) for m in maps]
+    passing = [check_infomorphism(m) for m in maps]
     excluded = tuple(i for i, ok in enumerate(passing) if not ok)
 
     diagrams = dict.fromkeys(d for m in maps for d in (m.source, m.target))
     # indices of the sample maps leaving each diagram
-    leaving: dict[FuzzyAristotelianDiagram, list[int]] = {d: [] for d in diagrams}
+    leaving: dict[Diagram | FuzzyAristotelianDiagram, list[int]] = {d: [] for d in diagrams}
     for i, m in enumerate(maps):
         leaving[m.source].append(i)
 
@@ -261,12 +226,12 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
     identity_ok = True
     for d in diagrams:
         identity_checked += 1
-        if not check_fuzzy_infomorphism(FuzzyDiagramMap.identity(d)):
+        if not check_infomorphism(DiagramMap.identity(d)):
             identity_ok = False
     for m in maps:
         identity_checked += 1
-        left = compose_fuzzy_maps(FuzzyDiagramMap.identity(m.source), m)
-        right = compose_fuzzy_maps(m, FuzzyDiagramMap.identity(m.target))
+        left = compose_maps(DiagramMap.identity(m.source), m)
+        right = compose_maps(m, DiagramMap.identity(m.target))
         if left != m or right != m:
             identity_ok = False
 
@@ -279,7 +244,7 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
             if not passing[j]:
                 continue
             closure_checked += 1
-            if not check_fuzzy_infomorphism(compose_fuzzy_maps(m1, maps[j])):
+            if not check_infomorphism(compose_maps(m1, maps[j])):
                 closure_ok = False
 
     assoc_checked = 0
@@ -290,8 +255,8 @@ def verify_category_laws(maps: Sequence[FuzzyDiagramMap]) -> CategoryLawReport:
             for k in leaving[m2.target]:
                 m3 = maps[k]
                 assoc_checked += 1
-                lhs = compose_fuzzy_maps(compose_fuzzy_maps(m1, m2), m3)
-                rhs = compose_fuzzy_maps(m1, compose_fuzzy_maps(m2, m3))
+                lhs = compose_maps(compose_maps(m1, m2), m3)
+                rhs = compose_maps(m1, compose_maps(m2, m3))
                 if lhs != rhs:
                     assoc_ok = False
 
@@ -360,7 +325,8 @@ def embed_diagram(
     """Embed a crisp diagram into the fuzzy theory over its powerset order.
 
     Classification of the embedded diagram reproduces the crisp one
-    cell-for-cell, with every annotation (1, 0).
+    cell-for-cell, with every annotation (1, 0).  Algebras of more than 4
+    atoms are refused, as by ``powerset_lattice``.
     """
     lattice = powerset_lattice(d.algebra)
     fragment = tuple(element_label(e) for e in d.fragment)

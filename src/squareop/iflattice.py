@@ -297,8 +297,14 @@ def powerset_lattice(algebra: BooleanAlgebra) -> IFLattice:
     Carrier labels are the canonical element labels ("{}", "{a}", ...);
     order edges are (1, 0) where subset inclusion holds and (0, 1) elsewhere.
     The result is always a fuzzy Boolean algebra whose lub/glb agree with
-    the algebra's join/meet.
+    the algebra's join/meet.  Algebras whose powerset exceeds the carrier
+    limit are refused before the inclusion matrix is built.
     """
+    if algebra.carrier_size > MAX_CARRIER:
+        raise ValueError(
+            f"a {algebra.atom_count}-atom algebra has {algebra.carrier_size} elements; "
+            f"carriers larger than {MAX_CARRIER} are refused: lattice checks are exhaustive"
+        )
     elems = list(algebra.elements())
     labels = tuple(element_label(e) for e in elems)
     holds = [[x.bits & y.bits == x.bits for y in elems] for x in elems]

@@ -13,12 +13,8 @@ from typing import Sequence
 
 from .algebra import BooleanAlgebra
 from .degrees import ONE, ZERO, IFPair
-from .diagram import Diagram
-from .fuzzydiagram import (
-    FuzzyAristotelianDiagram,
-    FuzzyDiagramMap,
-    check_fuzzy_infomorphism,
-)
+from .diagram import Diagram, DiagramMap, check_infomorphism
+from .fuzzydiagram import FuzzyAristotelianDiagram
 from .ifrel import IFRelation, transitive_closure
 from .iflattice import IFLattice
 
@@ -149,7 +145,7 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
 
 def _random_step(
     rng: random.Random, source: FuzzyAristotelianDiagram, max_denominator: int
-) -> FuzzyDiagramMap:
+) -> DiagramMap:
     """One infomorphism out of ``source``: identity, inclusion, relabeling
     isomorphism, or a rejection-sampled random map."""
     kind = rng.choice(("identity", "inclusion", "permutation", "random"))
@@ -159,7 +155,7 @@ def _random_step(
         rng.shuffle(extra)
         grown = source.fragment + tuple(extra[: rng.randint(0, min(2, len(extra)))])
         target = FuzzyAristotelianDiagram(source.lattice, grown, tolerance=source.tolerance)
-        return FuzzyDiagramMap(source, target, tuple(range(len(source.fragment))))
+        return DiagramMap(source, target, tuple(range(len(source.fragment))))
     if kind == "permutation":
         n = len(source.lattice.carrier)
         atom_count = n.bit_length() - 1
@@ -169,17 +165,17 @@ def _random_step(
         carrier = source.lattice.carrier
         fragment = tuple(carrier[index_map[carrier.index(x)]] for x in source.fragment)
         target = FuzzyAristotelianDiagram(permuted, fragment, tolerance=source.tolerance)
-        return FuzzyDiagramMap(source, target, tuple(range(len(source.fragment))))
+        return DiagramMap(source, target, tuple(range(len(source.fragment))))
     if kind == "random":
         for _ in range(8):
             target = random_fuzzy_diagram(rng, max_denominator=max_denominator)
             mapping = tuple(
                 rng.randrange(len(target.fragment)) for _ in source.fragment
             )
-            candidate = FuzzyDiagramMap(source, target, mapping)
-            if check_fuzzy_infomorphism(candidate):
+            candidate = DiagramMap(source, target, mapping)
+            if check_infomorphism(candidate):
                 return candidate
-    return FuzzyDiagramMap.identity(source)
+    return DiagramMap.identity(source)
 
 
 def composable_infomorphism_triples(
@@ -187,7 +183,7 @@ def composable_infomorphism_triples(
     count: int,
     max_atoms: int = 3,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> list[tuple[FuzzyDiagramMap, FuzzyDiagramMap, FuzzyDiagramMap]]:
+) -> list[tuple[DiagramMap, DiagramMap, DiagramMap]]:
     """Seeded composable chains f: D1 -> D2, g: D2 -> D3, h: D3 -> D4 of
     fuzzy infomorphisms, for exercising the category laws."""
     triples = []

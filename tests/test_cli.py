@@ -1,11 +1,61 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from squareop.algebra import BooleanAlgebra
 from squareop.cli import main
-from squareop.diagram import canonical_square
-from squareop.fuzzydiagram import embed_diagram
+from squareop.diagram import Diagram, canonical_square
+from squareop.dot import diagram_to_dot, fuzzy_diagram_to_dot
+from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
+from squareop.iflattice import IFLattice
+from squareop.ifrel import IFRelation
 from squareop.jsonio import diagram_to_json, fuzzy_diagram_to_json
+
+# exact stdout for the canonical square and its fuzzy embedding
+SQUARE_DOT = """\
+digraph aristotelian {
+  rankdir=TB;
+  node [shape=box];
+  n0 [label="Every S is P"];
+  n1 [label="No S is P"];
+  n2 [label="Some S is P"];
+  n3 [label="Some S is not P"];
+  n0 -> n1 [style=solid, dir=none, label="C"];
+  n0 -> n2 [style=solid, label="LI"];
+  n0 -> n3 [style=dashed, dir=none, label="CD"];
+  n1 -> n2 [style=dashed, dir=none, label="CD"];
+  n1 -> n3 [style=solid, label="LI"];
+  n2 -> n3 [style=dotted, dir=none, label="SC"];
+}
+"""
+
+FUZZY_SQUARE_DOT = """\
+digraph aristotelian {
+  rankdir=TB;
+  node [shape=box];
+  n0 [label="Every S is P"];
+  n1 [label="No S is P"];
+  n2 [label="Some S is P"];
+  n3 [label="Some S is not P"];
+  n0 -> n1 [style=solid, dir=none, label="C (1,0)"];
+  n0 -> n2 [style=solid, label="LI (1,0)"];
+  n0 -> n3 [style=dashed, dir=none, label="CD (1,0)"];
+  n1 -> n2 [style=dashed, dir=none, label="CD (1,0)"];
+  n1 -> n3 [style=solid, label="LI (1,0)"];
+  n2 -> n3 [style=dotted, dir=none, label="SC (1,0)"];
+}
+"""
+
+FUZZY_SQUARE_TABLE = """\
+tolerance: 1/100
+                 Every S is P     No S is P        Some S is P      Some S is not P
+Every S is P     BI(1,0)          C(1,0)           LI(1,0)          CD(1,0)
+No S is P        C(1,0)           BI(1,0)          CD(1,0)          LI(1,0)
+Some S is P      RI(1,0)          CD(1,0)          BI(1,0)          SC(1,0)
+Some S is not P  CD(1,0)          RI(1,0)          SC(1,0)          BI(1,0)
+fuzzy bi-implication within tolerance: none
+"""
 
 
 @pytest.fixture
@@ -335,6 +385,45 @@ class TestDot:
         code, out, _ = run(capsys, "dot", str(path))
         assert code == 0
         assert "CD (1,0)" in out
+
+
+class TestGoldenOutput:
+    @pytest.fixture
+    def fuzzy_square_file(self, tmp_path):
+        path = tmp_path / "fuzzy.json"
+        path.write_text(json.dumps(fuzzy_diagram_to_json(embed_diagram(canonical_square()))))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [("dot",), ("classify", "--format", "dot")])
+    def test_square_dot(self, square_file, capsys, argv):
+        assert run(capsys, argv[0], square_file, *argv[1:]) == (0, SQUARE_DOT, "")
+
+    def test_fuzzy_square_dot(self, fuzzy_square_file, capsys):
+        assert run(capsys, "dot", fuzzy_square_file) == (0, FUZZY_SQUARE_DOT, "")
+
+    def test_fuzzy_square_table(self, fuzzy_square_file, capsys):
+        assert run(capsys, "fuzzy-classify", fuzzy_square_file) == (0, FUZZY_SQUARE_TABLE, "")
+
+    def test_right_implication_draws_reversed_arrow(self):
+        b2 = BooleanAlgebra.of(2)
+        d = Diagram(b2, (b2.top, b2.from_atoms(["a"])), ("top", "a"))
+        assert diagram_to_dot(d) == (
+            'digraph aristotelian {\n  rankdir=TB;\n  node [shape=box];\n'
+            '  n0 [label="top"];\n  n1 [label="a"];\n'
+            '  n1 -> n0 [style=solid, label="LI"];\n}\n'
+        )
+        labels = ("{}", "{a}")
+        order = IFRelation(
+            labels, labels,
+            ((F(1), F(1, 2)), (F(0), F(1))),
+            ((F(0), F(1, 3)), (F(1), F(0))),
+        )
+        fd = FuzzyAristotelianDiagram(IFLattice(order), ("{a}", "{}"))
+        assert fuzzy_diagram_to_dot(fd) == (
+            'digraph aristotelian {\n  rankdir=TB;\n  node [shape=box];\n'
+            '  n0 [label="{a}"];\n  n1 [label="{}"];\n'
+            '  n1 -> n0 [style=solid, label="LI (1/2,1/3)"];\n}\n'
+        )
 
 
 class TestArgumentHandling:

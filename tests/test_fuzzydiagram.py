@@ -7,9 +7,13 @@ from squareop.algebra import BooleanAlgebra, element_label
 from squareop.degrees import FULL, IFPair
 from squareop.diagram import (
     Diagram,
+    DiagramMap,
     RelationKind,
     canonical_square,
+    check_infomorphism,
+    check_iso,
     classify,
+    find_isos,
     informativity_leq,
     relation_table,
 )
@@ -32,6 +36,7 @@ from squareop.iflattice import powerset_lattice
 from squareop.sampling import (
     composable_infomorphism_triples,
     random_crisp_diagram,
+    random_fuzzy_diagram,
     random_fuzzy_powerset_order,
 )
 
@@ -144,6 +149,87 @@ class TestCrispEmbeddingFaithfulness:
                 for j in range(len(d.fragment)):
                     assert fuzzy_table[i][j].kind is crisp_table[i][j]
                     assert fuzzy_table[i][j].annotation == FULL
+
+
+    def test_embedding_refuses_algebras_beyond_the_carrier_limit(self):
+        b16 = BooleanAlgebra.of(16)
+        with pytest.raises(ValueError, match="16-atom algebra"):
+            embed_diagram(Diagram(b16, (b16.atom(0), b16.atom(1))))
+
+
+def label_cascade(d):
+    """Seven-clause kinds of a fuzzy diagram, read through the lattice's
+    label API (dominates, glb, lub); the reference for ``kind_table``."""
+    lat = d.lattice
+
+    def kind(x, y):
+        if x == y:
+            return BI
+        if lat.dominates(x, y):
+            return LI
+        if lat.dominates(y, x):
+            return RI
+        meet_bottom = lat.glb(x, y) == lat.bottom
+        join_top = lat.lub(x, y) == lat.top
+        if meet_bottom and join_top:
+            return CD
+        if meet_bottom:
+            return C
+        if join_top:
+            return SC
+        return UN
+
+    return tuple(tuple(kind(x, y) for y in d.fragment) for x in d.fragment)
+
+
+def same_size_partner(rng, d):
+    """A random diagram over ``d``'s algebra with as many elements."""
+    bits = rng.sample(range(d.algebra.carrier_size), len(d))
+    return Diagram(d.algebra, tuple(d.algebra.element(b) for b in bits))
+
+
+class TestSharedClassifier:
+    """Crisp and fuzzy diagrams share one classifier and one map layer."""
+
+    def test_fuzzy_kind_table_matches_label_cascade(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(60):
+            d = random_fuzzy_diagram(rng, max_atoms=4, max_fragment=8)
+            expected = label_cascade(d)
+            assert d.kind_table == expected
+            seen.update(kind for row in expected for kind in row)
+        assert seen == set(RelationKind)
+
+    def test_find_isos_agrees_on_embedded_diagrams(self):
+        rng = random.Random(29)
+        outcomes = []
+        for _ in range(30):
+            d1 = random_crisp_diagram(rng, max_atoms=4, max_fragment=5)
+            mirrored = Diagram(d1.algebra, d1.fragment[::-1])
+            for d2 in (mirrored, same_size_partner(rng, d1)):
+                e1, e2 = embed_diagram(d1), embed_diagram(d2)
+                crisp = [m.mapping for m in find_isos(d1, d2)]
+                assert [m.mapping for m in find_isos(e1, e2)] == crisp
+                assert all(check_iso(DiagramMap(e1, e2, f)) for f in crisp)
+                outcomes.append(bool(crisp))
+        assert True in outcomes and False in outcomes
+
+    def test_check_infomorphism_agrees_on_embedded_maps(self):
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(100):
+            d1 = random_crisp_diagram(rng, max_atoms=4, max_fragment=4)
+            d2 = random_crisp_diagram(rng, max_atoms=4, max_fragment=6)
+            if len(d1) <= len(d2):  # injective maps keep every pair a pair
+                mapping = tuple(rng.sample(range(len(d2)), len(d1)))
+            else:
+                mapping = tuple(rng.randrange(len(d2)) for _ in d1.fragment)
+            crisp = check_infomorphism(DiagramMap(d1, d2, mapping))
+            embedded = DiagramMap(embed_diagram(d1), embed_diagram(d2), mapping)
+            assert check_infomorphism(embedded) is crisp
+            verdicts.append(crisp)
+        assert 10 <= verdicts.count(True) <= 90
 
 
 class TestFuzzyInfomorphism:

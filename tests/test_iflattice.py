@@ -92,6 +92,12 @@ class TestUnderlyingOrder:
         with pytest.raises(ValueError, match="carrier"):
             IFLattice(identity_relation(labels))
 
+    @pytest.mark.parametrize("atoms", [5, 16])
+    def test_powerset_lattice_refused_before_building_the_matrix(self, atoms):
+        # a 16-atom inclusion matrix would hold 2**32 cells
+        with pytest.raises(ValueError, match=f"{atoms}-atom algebra .* larger than 16"):
+            powerset_lattice(BooleanAlgebra.of(atoms))
+
     def test_derived_order_of_random_fuzzy_orders_is_partial_order(self):
         rng = random.Random(13)
         for _ in range(20):
