@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import element_label
@@ -81,11 +82,11 @@ class FuzzyAristotelianDiagram:
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
         """The seven-clause kind of every fragment pair, in the derived order."""
         lat = self.lattice
-        leq, glb, lub = lat.underlying_order, lat._glb_table, lat._lub_table
-        bottom, top = lat.index(lat.bottom), lat.index(lat.top)
+        s = lat._structure
+        up, glb, lub, bottom, top = s.up, s.glb, s.lub, s.bottom, s.top
         return _kind_table(
             tuple(map(lat.index, self.fragment)),
-            lambda x, y: leq[x][y],
+            lambda x, y: up[x] >> y & 1,
             lambda x, y: glb[x][y] == bottom,
             lambda x, y: lub[x][y] == top,
         )
@@ -160,24 +161,24 @@ def check_if_homomorphism(
         if mapping[x] not in target.carrier:
             raise ValueError(f"mapping image {mapping[x]!r} is not in the target carrier")
 
-    f = dict(mapping)
-    if f[source.bottom] != target.bottom or f[source.top] != target.top:
+    f = [target.index(mapping[x]) for x in source.carrier]
+    s, t = source._structure, target._structure
+    if f[s.bottom] != t.bottom or f[s.top] != t.top:
         return False
-    for x in source.carrier:
-        if f[source.unique_complement(x)] != target.unique_complement(f[x]):
+    size = len(source.carrier)
+    for x in range(size):
+        if f[source._unique_complement(x)] != target._unique_complement(f[x]):
             return False
-    for x in source.carrier:
-        for y in source.carrier:
-            if f[source.lub(x, y)] != target.lub(f[x], f[y]):
-                return False
+    for x, y in product(range(size), repeat=2):
+        if f[s.lub[x][y]] != t.lub[f[x]][f[y]]:
+            return False
     # derived meet preservation; cannot fail once the above passed
-    for x in source.carrier:
-        for y in source.carrier:
-            if f[source.glb(x, y)] != target.glb(f[x], f[y]):
-                raise LawViolationError(
-                    f"meet preservation failed at ({x!r}, {y!r}) although join, "
-                    "negation and bounds are preserved"
-                )
+    for x, y in product(range(size), repeat=2):
+        if f[s.glb[x][y]] != t.glb[f[x]][f[y]]:
+            raise LawViolationError(
+                f"meet preservation failed at ({source.carrier[x]!r}, {source.carrier[y]!r}) "
+                "although join, negation and bounds are preserved"
+            )
     return True
 
 

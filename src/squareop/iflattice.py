@@ -14,12 +14,19 @@ a genuine crisp partial order:
 Least upper bounds, greatest lower bounds, distributivity, complementation
 and the De Morgan laws are all computed in this derived order; a complemented
 distributive fuzzy lattice certifies as a fuzzy Boolean algebra.
+
+The derived order is stored as one bitmask per row (the up-set of each
+element).  Its lattice structure depends on those rows alone, never on the
+degrees, so it is computed once per distinct derived order and shared by
+every fuzzy lattice that derives it; each lattice still checks its own fuzzy
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .algebra import BooleanAlgebra, element_label
 from .ifrel import IFRelation, is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
@@ -37,6 +44,74 @@ class PreconditionError(ValueError):
 
 class LawViolationError(RuntimeError):
     """A law that provably holds was observed to fail: an implementation fault."""
+
+
+# A bound on the distinct derived orders kept.  Fuzzifications of one crisp
+# order (sampled degrees, atom relabelings of a powerset order) all derive
+# that order, so a workload meets few distinct ones.
+_STRUCTURE_CACHE_SIZE = 256
+
+BoundTable = tuple[tuple[int | None, ...], ...]
+
+
+@dataclass(frozen=True)
+class _OrderStructure:
+    """Degree-free structure of a crisp partial order on indices 0..n-1.
+
+    ``up[i]`` is the bitmask of {k : i <= k}; ``lub``/``glb`` hold an index
+    or None per pair.  ``bottom``, ``top``, ``is_distributive`` and
+    ``complements`` (the complement indices of each element) are None
+    unless ``is_lattice``.
+    """
+
+    up: tuple[int, ...]
+    lub: BoundTable
+    glb: BoundTable
+    is_lattice: bool
+    bottom: int | None
+    top: int | None
+    is_distributive: bool | None
+    complements: tuple[tuple[int, ...], ...] | None
+
+
+@lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
+def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
+    """The lattice structure of the partial order whose up-sets are ``up``.
+
+    The common upper bounds of i and j form the up-set ``up[i] & up[j]``; a
+    least one exists iff that set is some element's up-set, and antisymmetry
+    makes ``up`` injective, so one dict lookup finds the lub.  The glb is
+    the same with down-sets.
+    """
+    size = len(up)
+    down = tuple(sum(1 << i for i, u in enumerate(up) if u >> k & 1) for k in range(size))
+    by_up = {u: k for k, u in enumerate(up)}
+    by_down = {d: k for k, d in enumerate(down)}
+    lub = tuple(tuple(by_up.get(a & b) for b in up) for a in up)
+    glb = tuple(tuple(by_down.get(a & b) for b in down) for a in down)
+    if any(None in row for row in lub + glb):
+        return _OrderStructure(up, lub, glb, False, None, None, None, None)
+    full = (1 << size) - 1
+    if full not in by_up:
+        raise LawViolationError("finite lattice without a bottom element")
+    if full not in by_down:
+        raise LawViolationError("finite lattice without a top element")
+    bottom, top = by_up[full], by_down[full]
+    # j is join-irreducible iff the elements strictly below it have a
+    # greatest one (its only lower cover)
+    irreducible = sum(1 << j for j, d in enumerate(down) if d & ~(1 << j) in by_down)
+    # Birkhoff: a finite lattice is distributive iff each join-irreducible
+    # below a join lies below one of its arguments
+    distributive = all(
+        down[lub[i][j]] & irreducible == (down[i] | down[j]) & irreducible
+        for i in range(size)
+        for j in range(i + 1, size)
+    )
+    complements = tuple(
+        tuple(j for j in range(size) if glb[i][j] == bottom and lub[i][j] == top)
+        for i in range(size)
+    )
+    return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements)
 
 
 @dataclass(frozen=True)
@@ -66,117 +141,69 @@ class IFLattice:
             raise KeyError(f"{label!r} is not a carrier element") from None
 
     @cached_property
+    def _structure(self) -> _OrderStructure:
+        """The derived crisp order (x <= y iff x = y or nu(x, y) < 1) and its
+        lattice structure, shared by every lattice with the same derived order."""
+        den = self.order.den
+        return _order_structure(
+            tuple(
+                sum(1 << j for j, nu in enumerate(row) if i == j or nu < den)
+                for i, row in enumerate(self.order.n)
+            )
+        )
+
+    @cached_property
     def underlying_order(self) -> tuple[tuple[bool, ...], ...]:
         """Crisp dominance matrix: x <= y iff x = y or nu(x, y) < 1."""
-        den = self.order.den
-        return tuple(
-            tuple(i == j or nu < den for j, nu in enumerate(row))
-            for i, row in enumerate(self.order.n)
-        )
+        up = self._structure.up
+        return tuple(tuple(bool(u >> j & 1) for j in range(len(up))) for u in up)
 
     def dominates(self, x: str, y: str) -> bool:
         """Whether x <= y in the derived crisp order."""
-        return self.underlying_order[self.index(x)][self.index(y)]
-
-    @cached_property
-    def _lub_table(self) -> tuple[tuple[int | None, ...], ...]:
-        return self._bound_table(upper=True)
-
-    @cached_property
-    def _glb_table(self) -> tuple[tuple[int | None, ...], ...]:
-        return self._bound_table(upper=False)
-
-    def _bound_table(self, upper: bool) -> tuple[tuple[int | None, ...], ...]:
-        leq = self.underlying_order
-        n = len(self.carrier)
-
-        def bound(i: int, j: int) -> int | None:
-            if upper:
-                candidates = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            else:
-                candidates = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            for u in candidates:
-                if all((leq[u][k] if upper else leq[k][u]) for k in candidates):
-                    return u
-            return None
-
-        return tuple(tuple(bound(i, j) for j in range(n)) for i in range(n))
+        return bool(self._structure.up[self.index(x)] >> self.index(y) & 1)
 
     def lub(self, x: str, y: str) -> str | None:
         """Least upper bound in the derived order, or None if it does not exist."""
-        k = self._lub_table[self.index(x)][self.index(y)]
+        k = self._structure.lub[self.index(x)][self.index(y)]
         return None if k is None else self.carrier[k]
 
     def glb(self, x: str, y: str) -> str | None:
         """Greatest lower bound in the derived order, or None if it does not exist."""
-        k = self._glb_table[self.index(x)][self.index(y)]
+        k = self._structure.glb[self.index(x)][self.index(y)]
         return None if k is None else self.carrier[k]
 
-    @cached_property
+    @property
     def is_lattice(self) -> bool:
         """Every pair has both a lub and a glb."""
-        n = len(self.carrier)
-        return all(
-            self._lub_table[i][j] is not None and self._glb_table[i][j] is not None
-            for i in range(n)
-            for j in range(n)
-        )
+        return self._structure.is_lattice
 
-    def _require_lattice(self) -> None:
+    def _lattice(self) -> _OrderStructure:
+        """The structure, which must be a lattice."""
         if not self.is_lattice:
             raise PreconditionError("not a lattice", ("lattice",))
+        return self._structure
 
-    @cached_property
+    @property
     def bottom(self) -> str:
         """Least carrier element; finite lattices are bounded."""
-        self._require_lattice()
-        leq = self.underlying_order
-        n = len(self.carrier)
-        for k in range(n):
-            if all(leq[k][i] for i in range(n)):
-                return self.carrier[k]
-        raise LawViolationError("finite lattice without a bottom element")
+        return self.carrier[self._lattice().bottom]
 
-    @cached_property
+    @property
     def top(self) -> str:
-        self._require_lattice()
-        leq = self.underlying_order
-        n = len(self.carrier)
-        for k in range(n):
-            if all(leq[i][k] for i in range(n)):
-                return self.carrier[k]
-        raise LawViolationError("finite lattice without a top element")
+        return self.carrier[self._lattice().top]
 
-    @cached_property
+    @property
     def is_distributive(self) -> bool:
-        """Both distributive identities, exhaustively over all triples."""
-        self._require_lattice()
-        lub, glb = self._lub_table, self._glb_table
-        n = len(self.carrier)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if glb[a][lub[b][c]] != lub[glb[a][b]][glb[a][c]]:
-                        return False
-                    if lub[a][glb[b][c]] != glb[lub[a][b]][lub[a][c]]:
-                        return False
-        return True
+        """Both distributive identities hold for all triples."""
+        return self._lattice().is_distributive
 
     def find_complements(self, x: str) -> tuple[str, ...]:
         """All y with glb(x, y) = bottom and lub(x, y) = top."""
-        self._require_lattice()
-        i = self.index(x)
-        bot, top = self.index(self.bottom), self.index(self.top)
-        return tuple(
-            self.carrier[j]
-            for j in range(len(self.carrier))
-            if self._glb_table[i][j] == bot and self._lub_table[i][j] == top
-        )
+        return tuple(self.carrier[j] for j in self._lattice().complements[self.index(x)])
 
-    @cached_property
+    @property
     def is_complemented(self) -> bool:
-        self._require_lattice()
-        return all(self.find_complements(x) for x in self.carrier)
+        return all(self._lattice().complements)
 
     def check_de_morgan(self) -> bool:
         """Verify both De Morgan laws over all pairs.
@@ -198,42 +225,45 @@ class IFLattice:
             raise PreconditionError(
                 "check_de_morgan preconditions unmet: " + ", ".join(failed), tuple(failed)
             )
-        neg = {}
-        for x in self.carrier:
-            comps = self.find_complements(x)
+        s, carrier = self._structure, self.carrier
+        neg = []
+        for x, comps in zip(carrier, s.complements):
             if len(comps) != 1:
                 raise LawViolationError(
                     f"element {x!r} has {len(comps)} complements in a distributive lattice"
                 )
-            neg[x] = comps[0]
-        for a in self.carrier:
-            for b in self.carrier:
-                if neg[self.lub(a, b)] != self.glb(neg[a], neg[b]):
-                    raise LawViolationError(
-                        f"De Morgan failure at ({a!r}, {b!r}): "
-                        f"neg(a v b) != neg(a) ^ neg(b)"
-                    )
-                if neg[self.glb(a, b)] != self.lub(neg[a], neg[b]):
-                    raise LawViolationError(
-                        f"De Morgan failure at ({a!r}, {b!r}): "
-                        f"neg(a ^ b) != neg(a) v neg(b)"
-                    )
+            neg.append(comps[0])
+        for a, b in product(range(len(carrier)), repeat=2):
+            if neg[s.lub[a][b]] != s.glb[neg[a]][neg[b]]:
+                raise LawViolationError(
+                    f"De Morgan failure at ({carrier[a]!r}, {carrier[b]!r}): "
+                    f"neg(a v b) != neg(a) ^ neg(b)"
+                )
+            if neg[s.glb[a][b]] != s.lub[neg[a]][neg[b]]:
+                raise LawViolationError(
+                    f"De Morgan failure at ({carrier[a]!r}, {carrier[b]!r}): "
+                    f"neg(a ^ b) != neg(a) v neg(b)"
+                )
         return True
 
-    @cached_property
+    @property
     def is_if_boolean_algebra(self) -> bool:
         """Lattice, distributive and complemented."""
         if not self.is_lattice:
             return False
         return self.is_distributive and self.is_complemented
 
-    def unique_complement(self, x: str) -> str:
-        comps = self.find_complements(x)
+    def _unique_complement(self, i: int) -> int:
+        comps = self._lattice().complements[i]
         if len(comps) != 1:
             raise PreconditionError(
-                f"element {x!r} does not have a unique complement", ("unique-complement",)
+                f"element {self.carrier[i]!r} does not have a unique complement",
+                ("unique-complement",),
             )
         return comps[0]
+
+    def unique_complement(self, x: str) -> str:
+        return self.carrier[self._unique_complement(self.index(x))]
 
 
 def underlying_order(lattice: IFLattice) -> tuple[tuple[bool, ...], ...]:

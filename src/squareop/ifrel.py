@@ -218,6 +218,32 @@ class IFRelation:
         if not self.is_square:
             raise ValueError(f"{op} requires a square relation on one set")
 
+    # The three order verdicts of a square relation, computed once per
+    # relation; read through is_reflexive, is_perfectly_antisymmetric and
+    # is_transitive, which check squareness first.
+
+    @cached_property
+    def _reflexive(self) -> bool:
+        den = self.den
+        return all(self.m[i][i] == den and self.n[i][i] == 0 for i in range(len(self.source)))
+
+    @cached_property
+    def _perfectly_antisymmetric(self) -> bool:
+        n, den = self.n, self.den
+        size = len(self.source)
+        return all(
+            n[i][j] == den or n[j][i] == den for i in range(size) for j in range(i + 1, size)
+        )
+
+    @cached_property
+    def _transitive(self) -> bool:
+        m_cols, n_cols = tuple(zip(*self.m)), tuple(zip(*self.n))
+        return all(
+            max(map(min, m_row, m_col)) <= mu and min(map(max, n_row, n_col)) >= nu
+            for m_row, n_row in zip(self.m, self.n)
+            for m_col, n_col, mu, nu in zip(m_cols, n_cols, m_row, n_row)
+        )
+
 
 def identity_relation(labels: Sequence[str]) -> IFRelation:
     """The identity: (1, 0) on the diagonal, (0, 1) elsewhere."""
@@ -254,7 +280,7 @@ def compose(r: IFRelation, s: IFRelation) -> IFRelation:
 def is_reflexive(r: IFRelation) -> bool:
     """Every diagonal cell is exactly (1, 0)."""
     r._require_square("is_reflexive")
-    return all(r.m[i][i] == r.den and r.n[i][i] == 0 for i in range(len(r.source)))
+    return r._reflexive
 
 
 def is_perfectly_antisymmetric(r: IFRelation) -> bool:
@@ -264,22 +290,13 @@ def is_perfectly_antisymmetric(r: IFRelation) -> bool:
     nu < 1, and fully fails exactly when nu = 1.
     """
     r._require_square("is_perfectly_antisymmetric")
-    n, den = r.n, r.den
-    size = len(r.source)
-    return all(
-        n[i][j] == den or n[j][i] == den for i in range(size) for j in range(i + 1, size)
-    )
+    return r._perfectly_antisymmetric
 
 
 def is_transitive(r: IFRelation) -> bool:
     """R o R is contained in R: composite mu never exceeds, nu never falls below."""
     r._require_square("is_transitive")
-    m_cols, n_cols = tuple(zip(*r.m)), tuple(zip(*r.n))
-    return all(
-        max(map(min, m_row, m_col)) <= mu and min(map(max, n_row, n_col)) >= nu
-        for m_row, n_row in zip(r.m, r.n)
-        for m_col, n_col, mu, nu in zip(m_cols, n_cols, m_row, n_row)
-    )
+    return r._transitive
 
 
 def is_partial_order(r: IFRelation) -> bool:

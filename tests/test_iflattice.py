@@ -1,18 +1,25 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
+
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra, element_label
-from squareop.ifrel import IFRelation, identity_relation
+from squareop.ifrel import IFRelation, identity_relation, transitive_closure
 from squareop.iflattice import (
+    _STRUCTURE_CACHE_SIZE,
     IFLattice,
     PreconditionError,
+    _order_structure,
     certify,
     powerset_lattice,
 )
-from squareop.sampling import random_fuzzy_powerset_order
+from squareop.sampling import _permute_lattice, random_fuzzy_powerset_order
 
 F = Fraction
 
@@ -48,6 +55,15 @@ def pentagon_n5():
 def bowtie():
     # two minimal elements under two incomparable upper bounds
     pairs = {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    return lattice_from_leq(("a", "b", "c", "d"), pairs)
+
+
+def antichain(n):
+    return IFLattice(identity_relation(tuple(f"a{i}" for i in range(n))))
+
+
+def n_shaped():
+    pairs = {("a", "c"), ("b", "c"), ("b", "d")}
     return lattice_from_leq(("a", "b", "c", "d"), pairs)
 
 
@@ -269,6 +285,26 @@ class TestBooleanAlgebraCertification:
         assert cert.partial_order and cert.lattice is False
         assert cert.de_morgan == "preconditions-unmet"
 
+    def test_certify_checks_each_order_property_once(self, monkeypatch):
+        # certify's own checks and IFLattice's partial-order check share them
+        calls = Counter()
+        for name in ("_reflexive", "_perfectly_antisymmetric", "_transitive"):
+            compute = IFRelation.__dict__[name].func
+
+            def counted(r, compute=compute, name=name):
+                calls[name] += 1
+                return compute(r)
+
+            prop = cached_property(counted)
+            prop.__set_name__(IFRelation, name)
+            monkeypatch.setattr(IFRelation, name, prop)
+        algebra = BooleanAlgebra.of(2)
+        labels = tuple(element_label(e) for e in algebra.elements())
+        holds = [[x.leq(y) for y in algebra.elements()] for x in algebra.elements()]
+        cert = certify(IFRelation.from_bool(labels, labels, holds))
+        assert cert.if_boolean_algebra
+        assert calls == {"_reflexive": 1, "_perfectly_antisymmetric": 1, "_transitive": 1}
+
     def test_random_fuzzy_powerset_orders_certify(self):
         rng = random.Random(77)
         for _ in range(15):
@@ -276,3 +312,167 @@ class TestBooleanAlgebraCertification:
             cert = certify(lat.order)
             assert cert.if_boolean_algebra
             assert cert.de_morgan == "holds"
+
+
+class ReferenceStructure(NamedTuple):
+    lub: tuple
+    glb: tuple
+    is_lattice: bool
+    bottom: int | None
+    top: int | None
+    distributive: bool | None
+    complements: tuple | None
+
+
+def reference_bound_table(leq, upper):
+    """The list-scan bound table that the bitmask rows replaced."""
+    n = len(leq)
+
+    def bound(i, j):
+        if upper:
+            candidates = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        else:
+            candidates = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        for u in candidates:
+            if all((leq[u][k] if upper else leq[k][u]) for k in candidates):
+                return u
+        return None
+
+    return tuple(tuple(bound(i, j) for j in range(n)) for i in range(n))
+
+
+def reference_structure(leq):
+    """Bounds, distributivity and complements by the list-scan algorithm,
+    with both distributive identities checked over all triples."""
+    n = len(leq)
+    lub, glb = reference_bound_table(leq, True), reference_bound_table(leq, False)
+    if any(None in row for row in lub + glb):
+        return ReferenceStructure(lub, glb, False, None, None, None, None)
+    bottom = next(k for k in range(n) if all(leq[k][i] for i in range(n)))
+    top = next(k for k in range(n) if all(leq[i][k] for i in range(n)))
+    distributive = all(
+        glb[a][lub[b][c]] == lub[glb[a][b]][glb[a][c]]
+        and lub[a][glb[b][c]] == glb[lub[a][b]][lub[a][c]]
+        for a, b, c in itertools.product(range(n), repeat=3)
+    )
+    complements = tuple(
+        tuple(j for j in range(n) if glb[i][j] == bottom and lub[i][j] == top)
+        for i in range(n)
+    )
+    return ReferenceStructure(lub, glb, True, bottom, top, distributive, complements)
+
+
+def assert_matches_reference(lat):
+    labels = lat.carrier
+    ref = reference_structure(lat.underlying_order)
+
+    def label(k):
+        return None if k is None else labels[k]
+
+    for (i, x), (j, y) in itertools.product(enumerate(labels), repeat=2):
+        assert lat.lub(x, y) == label(ref.lub[i][j])
+        assert lat.glb(x, y) == label(ref.glb[i][j])
+    assert lat.is_lattice == ref.is_lattice
+    if not ref.is_lattice:
+        for prop in ("bottom", "top", "is_distributive", "is_complemented"):
+            with pytest.raises(PreconditionError):
+                getattr(lat, prop)
+        return
+    assert (lat.bottom, lat.top) == (labels[ref.bottom], labels[ref.top])
+    assert lat.is_distributive == ref.distributive
+    for x, comps in zip(labels, ref.complements):
+        assert lat.find_complements(x) == tuple(map(label, comps))
+
+
+@st.composite
+def posets(draw):
+    """A random partial order on 1-16 points as an IFLattice, with its
+    expected dominance matrix.
+
+    The order is the transitive closure of a random DAG (edges from lower to
+    higher index, optionally with a least and a greatest point adjoined)
+    under a random relabeling.  Strict pairs either hold crisply or get
+    random degrees with nu < 1, repaired by a transitive closure that keeps
+    the support.
+    """
+    size = draw(st.integers(min_value=1, max_value=16))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.1, 0.25, 0.5, 0.8)))
+    bounded = draw(st.booleans())
+    leq = [[i <= j and (i == j or rng.random() < density) for j in range(size)] for i in range(size)]
+    if bounded:
+        for i in range(size):
+            leq[0][i] = leq[i][size - 1] = True
+    for k, i, j in itertools.product(range(size), repeat=3):
+        leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    perm = draw(st.permutations(range(size)))
+    holds = [[False] * size for _ in range(size)]
+    for i, j in itertools.product(range(size), repeat=2):
+        holds[perm[i]][perm[j]] = leq[i][j]
+    labels = tuple(f"p{i}" for i in range(size))
+    if not draw(st.booleans()):
+        return IFLattice(IFRelation.from_bool(labels, labels, holds)), holds
+    q = 12
+    mu = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+    nu = [[F(int(i != j)) for j in range(size)] for i in range(size)]
+    for i, j in itertools.product(range(size), repeat=2):
+        if i != j and holds[i][j]:
+            a = rng.randint(0, q)
+            mu[i][j], nu[i][j] = F(a, q), F(rng.randint(0, q - max(a, 1)), q)
+    relation = transitive_closure(IFRelation(labels, labels, mu, nu))
+    return IFLattice(relation), holds
+
+
+class TestAgainstListScanReference:
+    """The bitmask rows and the shared structure reproduce the list-scan
+    bound tables, the triple-loop distributivity check and complements."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(posets())
+    def test_random_posets(self, drawn):
+        lat, holds = drawn
+        assert lat.underlying_order == tuple(map(tuple, holds))
+        for x, y in itertools.product(lat.carrier, repeat=2):
+            assert lat.dominates(x, y) == holds[lat.index(x)][lat.index(y)]
+        assert_matches_reference(lat)
+
+    @pytest.mark.parametrize(
+        "make",
+        [diamond_m3, pentagon_n5, bowtie, n_shaped]
+        + [lambda n=n: chain(n) for n in (1, 2, 3, 5, 16)]
+        + [lambda n=n: antichain(n) for n in (1, 2, 3, 16)]
+        + [lambda n=n: powerset_lattice(BooleanAlgebra.of(n)) for n in (1, 2, 3, 4)],
+    )
+    def test_named_orders(self, make):
+        assert_matches_reference(make())
+
+
+class TestSharedStructure:
+    """Lattices with one derived order share one structure object."""
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+    def test_fuzzifications_and_relabelings_share(self, atoms):
+        rng = random.Random(8)
+        lattices = [random_fuzzy_powerset_order(rng, atoms) for _ in range(4)]
+        perms = list(itertools.permutations(range(atoms)))
+        lattices += [_permute_lattice(lat, rng.choice(perms))[0] for lat in lattices]
+        shared = powerset_lattice(BooleanAlgebra.of(atoms))._structure
+        assert len({lat.order for lat in lattices}) > 1
+        assert all(lat._structure is shared for lat in lattices)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(chain(3), antichain(3)), (diamond_m3(), pentagon_n5())],
+    )
+    def test_different_orders_on_one_carrier_do_not_share(self, first, second):
+        relabeled = IFRelation(
+            first.carrier, first.carrier, second.order.mu, second.order.nu
+        )
+        second = IFLattice(relabeled)
+        assert first.carrier == second.carrier
+        assert first._structure is not second._structure
+        assert first.underlying_order != second.underlying_order
+
+    def test_cache_bound_is_a_fixed_int(self):
+        assert type(_STRUCTURE_CACHE_SIZE) is int and _STRUCTURE_CACHE_SIZE > 0
+        assert _order_structure.cache_info().maxsize == _STRUCTURE_CACHE_SIZE
