@@ -79,6 +79,23 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+_FLAG_NAMES = {"de_morgan": "De Morgan laws", "if_boolean_algebra": "IF Boolean algebra"}
+
+
+def _emit_flags(flags: dict, fmt: str) -> None:
+    """Verdicts as one JSON object, or one text row each ("-": not reached)."""
+    if fmt == "json":
+        _emit_json(flags)
+        return
+    ok, fail = _marks()
+    for key, value in flags.items():
+        if isinstance(value, bool):
+            value = ok if value else fail
+        elif value is None:
+            value = "-"
+        print(f"{_FLAG_NAMES.get(key, key.replace('_', ' ')):<24} {value}")
+
+
 def _table_text(labels, kinds) -> str:
     rendered = [[str(k) for k in row] for row in kinds]
     width = max(len(x) for x in labels)
@@ -91,14 +108,18 @@ def _table_text(labels, kinds) -> str:
     return "\n".join(lines)
 
 
-def _parse_map(text: str, size: int) -> tuple[int, ...]:
+def _parse_map(text: str, source, target) -> DiagramMap:
     try:
         mapping = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"--map must be comma-separated indices, got {text!r}", BAD_INPUT)
+    size = len(source.fragment)
     if len(mapping) != size:
         raise CliError(f"--map must list {size} indices, got {len(mapping)}", BAD_INPUT)
-    return mapping
+    try:
+        return DiagramMap(source, target, mapping)
+    except ValueError as exc:
+        raise CliError(f"--map: {exc}", BAD_INPUT) from None
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +141,24 @@ def cmd_validate(args) -> int:
             kind = "fuzzy-set"
         else:
             raise CliError("cannot detect a documented schema in the input", BAD_INPUT)
-    try:
-        if kind == "algebra":
-            value = algebra_from_json(obj)
-            summary = f"{value.atom_count} atoms"
-        elif kind == "diagram":
-            value = diagram_from_json(obj)
-            summary = f"{len(value.fragment)} fragment elements over {value.algebra.atom_count} atoms"
-        elif kind == "relation":
-            value = relation_from_json(obj)
-            summary = f"square relation on {len(value.source)} points"
-        elif kind == "fuzzy-set":
-            value = fuzzy_set_from_json(obj)
-            summary = f"{len(value.domain)} points"
-        else:
-            value = fuzzy_diagram_from_json(obj)
-            summary = (
-                f"{len(value.fragment)} fragment elements over a "
-                f"{len(value.lattice.carrier)}-element carrier"
-            )
-    except InputFormatError:
-        raise
-    except ValueError as exc:
-        # structurally valid JSON whose content fails a semantic property
-        raise CliError(str(exc), PROPERTY_FAILED)
+    if kind == "algebra":
+        value = algebra_from_json(obj)
+        summary = f"{value.atom_count} atoms"
+    elif kind == "diagram":
+        value = diagram_from_json(obj)
+        summary = f"{len(value.fragment)} fragment elements over {value.algebra.atom_count} atoms"
+    elif kind == "relation":
+        value = relation_from_json(obj)
+        summary = f"square relation on {len(value.source)} points"
+    elif kind == "fuzzy-set":
+        value = fuzzy_set_from_json(obj)
+        summary = f"{len(value.domain)} points"
+    else:
+        value = fuzzy_diagram_from_json(obj)
+        summary = (
+            f"{len(value.fragment)} fragment elements over a "
+            f"{len(value.lattice.carrier)}-element carrier"
+        )
     print(f"OK: {kind} ({summary})")
     return OK_EXIT
 
@@ -179,8 +194,7 @@ def cmd_iso(args) -> int:
     d1 = diagram_from_json(_load(args.file1))
     d2 = diagram_from_json(_load(args.file2))
     if args.map is not None:
-        mapping = _parse_map(args.map, len(d1.fragment))
-        m = DiagramMap(d1, d2, mapping)
+        m = _parse_map(args.map, d1, d2)
         if not m.is_bijection:
             raise CliError("--map is not a bijection", BAD_INPUT)
         ok = check_iso(m)
@@ -205,8 +219,7 @@ def cmd_iso(args) -> int:
 def cmd_info(args) -> int:
     d1 = diagram_from_json(_load(args.file1))
     d2 = diagram_from_json(_load(args.file2))
-    mapping = _parse_map(args.map, len(d1.fragment))
-    ok = check_infomorphism(DiagramMap(d1, d2, mapping))
+    ok = check_infomorphism(_parse_map(args.map, d1, d2))
     if args.format == "json":
         _emit_json({"infomorphism": ok})
     else:
@@ -218,41 +231,18 @@ def cmd_ifrel_check(args) -> int:
     relation = relation_from_json(_load(args.file))
     flags = {
         "reflexive": is_reflexive(relation),
-        "perfectly antisymmetric": is_perfectly_antisymmetric(relation),
+        "perfectly_antisymmetric": is_perfectly_antisymmetric(relation),
         "transitive": is_transitive(relation),
     }
-    flags["partial order"] = all(flags.values())
-    if args.format == "json":
-        _emit_json({k.replace(" ", "_"): v for k, v in flags.items()})
-    else:
-        ok, fail = _marks()
-        for name, value in flags.items():
-            print(f"{name:<24} {ok if value else fail}")
-    return OK_EXIT if flags["partial order"] else PROPERTY_FAILED
+    flags["partial_order"] = all(flags.values())
+    _emit_flags(flags, args.format)
+    return OK_EXIT if flags["partial_order"] else PROPERTY_FAILED
 
 
 def cmd_lattice_check(args) -> int:
     relation = relation_from_json(_load(args.file))
     cert = certify(relation)
-    if args.format == "json":
-        _emit_json(certification_to_json(cert))
-    else:
-        ok, fail = _marks()
-
-        def mark(value) -> str:
-            if value is None:
-                return "-"
-            return ok if value else fail
-
-        print(f"{'reflexive':<24} {mark(cert.reflexive)}")
-        print(f"{'perfectly antisymmetric':<24} {mark(cert.perfectly_antisymmetric)}")
-        print(f"{'transitive':<24} {mark(cert.transitive)}")
-        print(f"{'partial order':<24} {mark(cert.partial_order)}")
-        print(f"{'lattice':<24} {mark(cert.lattice)}")
-        print(f"{'distributive':<24} {mark(cert.distributive)}")
-        print(f"{'complemented':<24} {mark(cert.complemented)}")
-        print(f"{'De Morgan laws':<24} {cert.de_morgan}")
-        print(f"{'IF Boolean algebra':<24} {mark(cert.if_boolean_algebra)}")
+    _emit_flags(certification_to_json(cert), args.format)
     return OK_EXIT if cert.if_boolean_algebra else PROPERTY_FAILED
 
 
@@ -260,10 +250,7 @@ def cmd_contradiction(args) -> int:
     first = fuzzy_set_from_json(_load(args.file_a))
     second = fuzzy_set_from_json(_load(args.file_b)) if args.file_b else first
     ops = OperatorChoice(args.negation, args.implication)
-    try:
-        result = contradiction_degree(first, second, ops)
-    except ValueError as exc:
-        raise CliError(str(exc), PROPERTY_FAILED)
+    result = contradiction_degree(first, second, ops)
     if args.format == "json":
         _emit_json(
             {
@@ -288,12 +275,7 @@ def cmd_fuzzy_classify(args) -> int:
         if not isinstance(obj, dict):
             raise CliError("fuzzy diagram file must hold a JSON object", BAD_INPUT)
         obj = dict(obj, tolerance=args.tolerance)
-    try:
-        d = fuzzy_diagram_from_json(obj)
-    except InputFormatError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc), PROPERTY_FAILED)
+    d = fuzzy_diagram_from_json(obj)
     table = fuzzy_relation_table(d)
     bi_pairs = [
         (d.fragment[i], d.fragment[j])
@@ -360,12 +342,7 @@ def cmd_category_check(args) -> int:
 def cmd_dot(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, dict) and "lattice" in obj:
-        try:
-            print(fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj)), end="")
-        except InputFormatError:
-            raise
-        except ValueError as exc:
-            raise CliError(str(exc), PROPERTY_FAILED)
+        print(fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj)), end="")
     else:
         print(diagram_to_dot(diagram_from_json(obj)), end="")
     return OK_EXIT
@@ -458,12 +435,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # malformed input exits 2; any other refusal of well-formed input
+        # (not an order, over a size limit, mismatched domains) exits 1
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+        if isinstance(exc, CliError):
+            return exc.code
+        return BAD_INPUT if isinstance(exc, InputFormatError) else PROPERTY_FAILED
 
 
 if __name__ == "__main__":

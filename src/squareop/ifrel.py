@@ -142,10 +142,10 @@ class IFRelation:
     ) -> "IFRelation":
         """Internal constructor for degrees the caller already validated
         (``jsonio``, the samplers): no second ``degree`` pass."""
-        r = object.__new__(cls)
-        r._store(source, target, mu, nu)
         _check_labels(source, "source")
         _check_labels(target, "target")
+        r = object.__new__(cls)
+        r._store(source, target, mu, nu)
         return r
 
     @classmethod

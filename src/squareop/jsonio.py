@@ -20,6 +20,7 @@ Schemas:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -176,6 +177,8 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
         raise InputFormatError(
             f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"{path}.mu[{i}][{j}]"
         ) from None
+    except ValueError as exc:  # duplicate or blank labels
+        raise InputFormatError(str(exc), f"{path}.{key}") from None
 
 
 def lattice_to_json(lattice: IFLattice) -> dict:
@@ -183,17 +186,7 @@ def lattice_to_json(lattice: IFLattice) -> dict:
 
 
 def certification_to_json(cert: LatticeCertification) -> dict:
-    return {
-        "reflexive": cert.reflexive,
-        "perfectly_antisymmetric": cert.perfectly_antisymmetric,
-        "transitive": cert.transitive,
-        "partial_order": cert.partial_order,
-        "lattice": cert.lattice,
-        "distributive": cert.distributive,
-        "complemented": cert.complemented,
-        "de_morgan": cert.de_morgan,
-        "if_boolean_algebra": cert.if_boolean_algebra,
-    }
+    return asdict(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +230,14 @@ def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagr
     tolerance = DEFAULT_TOLERANCE
     if "tolerance" in record:
         tolerance = _parse_degree(record["tolerance"], f"{path}.tolerance")
+    _expect(len(fragment) >= 1, "fragment must not be empty", f"{path}.fragment")
+    _expect(len(set(fragment)) == len(fragment), "fragment elements must be distinct",
+            f"{path}.fragment")
     for x in fragment:
         _expect(x in order.source, f"fragment element {x!r} is not in the carrier",
                 f"{path}.fragment")
+    _expect(not labels or len(labels) == len(fragment), "labels must align with the fragment",
+            f"{path}.labels")
     # order-theoretic failures (not a partial order, not a Boolean algebra)
     # are property failures, not schema errors; let ValueError propagate
     lattice = IFLattice(order)

@@ -436,3 +436,73 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _discrete_relation(labels):
+    """The equality order on ``labels`` as a relation document."""
+    n = len(labels)
+    return {
+        "set": list(labels),
+        "mu": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "nu": [["0" if i == j else "1" for j in range(n)] for i in range(n)],
+    }
+
+
+ELEVEN_FRAGMENT = {
+    "algebra": {"atoms": ["a", "b", "c", "d"]},
+    "fragment": [["a"], ["b"], ["c"], ["d"], ["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
+                 ["b", "d"], ["c", "d"], ["a", "b", "c"]],
+}
+
+
+class TestErrorsBecomeExitCodes:
+    @pytest.mark.parametrize(
+        "argv, payload, code, message",
+        [
+            (["iso", "IN", "IN"], ELEVEN_FRAGMENT, 1, "fragments larger than 10 are refused"),
+            (["iso", "IN", "IN", "--map", "0,1,2,-1"], None, 2, "--map: "),
+            (["info", "IN", "IN", "--map", "0,1,2,9"], None, 2, "--map: "),
+            (["ifrel-check", "IN"], _discrete_relation(["x", "x"]), 2, "$.set"),
+            (["lattice-check", "IN"], _discrete_relation(["x", "x"]), 2, "$.set"),
+            (["ifrel-check", "IN"], _discrete_relation(["x", ""]), 2, "$.set"),
+            (["lattice-check", "IN"], _discrete_relation([f"e{i}" for i in range(17)]), 1,
+             "carrier larger than 16 refused"),
+        ],
+        ids=["iso-11", "iso-map", "info-map", "ifrel-dup", "lattice-dup", "ifrel-blank",
+             "lattice-17"],
+    )
+    def test_refusal_without_traceback(self, tmp_path, square_file, capsys, argv, payload,
+                                       code, message):
+        path = square_file
+        if payload is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(payload))
+        got, out, err = run(capsys, *(str(path) if a == "IN" else a for a in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_duplicate_relation_labels_fail_validation(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(_discrete_relation(["x", "x"])))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert err == "error: $.set: source labels must be distinct\n"
+
+    @pytest.mark.parametrize("command", ["fuzzy-classify", "dot", "validate"])
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"fragment": [], "labels": []}, "$.fragment"),
+            ({"fragment": ["{}", "{}"], "labels": ["A", "B"]}, "$.fragment"),
+            ({"labels": ["only one"]}, "$.labels"),
+        ],
+        ids=["empty", "duplicate", "misaligned-labels"],
+    )
+    def test_fuzzy_schema_errors_are_exit_2(self, tmp_path, capsys, command, change, path):
+        doc = dict(fuzzy_diagram_to_json(embed_diagram(canonical_square())), **change)
+        file = tmp_path / "fuzzy.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(file))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ")
