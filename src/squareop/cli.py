@@ -13,10 +13,19 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 
 from . import __version__
 from .degrees import IMPLICATIONS, NEGATIONS, OperatorChoice, contradiction_degree
-from .diagram import DiagramMap, canonical_square, check_infomorphism, check_iso, find_isos, relation_table
+from .diagram import (
+    DiagramMap,
+    canonical_square,
+    check_infomorphism,
+    check_iso,
+    count_isos,
+    iter_isos,
+    relation_table,
+)
 from .dot import diagram_to_dot, fuzzy_diagram_to_dot
 from .fuzzydiagram import fuzzy_bi_implication, fuzzy_relation_table, verify_category_laws
 from .ifrel import is_perfectly_antisymmetric, is_reflexive, is_transitive
@@ -35,6 +44,10 @@ from .jsonio import (
 from .sampling import composable_infomorphism_triples
 
 OK_EXIT, PROPERTY_FAILED, BAD_INPUT = 0, 1, 2
+
+#: ``iso`` lists at most this many maps, with the exact count and a
+#: ``listed N of M`` line when there are more.
+ISO_LISTING_CAP = 1000
 
 
 class CliError(Exception):
@@ -203,17 +216,23 @@ def cmd_iso(args) -> int:
         else:
             print(f"isomorphism: {'yes' if ok else 'no'}")
         return OK_EXIT if ok else PROPERTY_FAILED
-    isos = find_isos(d1, d2)
+    count = count_isos(d1, d2)
+    isos = list(islice(iter_isos(d1, d2), ISO_LISTING_CAP))
     if args.format == "json":
-        _emit_json({"count": len(isos), "isomorphisms": [list(m.mapping) for m in isos]})
+        payload = {"count": count, "isomorphisms": [list(m.mapping) for m in isos]}
+        if count > len(isos):
+            payload["listed"] = len(isos)
+        _emit_json(payload)
     else:
-        print(f"isomorphisms found: {len(isos)}")
+        print(f"isomorphisms found: {count}")
         for m in isos:
             arrows = ", ".join(
                 f"{d1.labels[i]} -> {d2.labels[j]}" for i, j in enumerate(m.mapping)
             )
             print(f"  {arrows}")
-    return OK_EXIT if isos else PROPERTY_FAILED
+        if count > len(isos):
+            print(f"listed {len(isos)} of {count}")
+    return OK_EXIT if count else PROPERTY_FAILED
 
 
 def cmd_info(args) -> int:

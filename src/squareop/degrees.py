@@ -23,7 +23,6 @@ Degree = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class DomainMismatchError(ValueError):
@@ -202,7 +201,6 @@ def if_complement(p: IFPair) -> IFPair:
 
 
 FULL = IFPair(ONE, ZERO)
-EMPTY = IFPair(ZERO, ONE)
 
 
 # ---------------------------------------------------------------------------

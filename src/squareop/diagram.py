@@ -27,7 +27,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import repeat
+from operator import and_, or_
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .algebra import AlgebraMismatchError, BooleanAlgebra, Element, element_label
 
@@ -87,52 +89,49 @@ def informativity_leq(r: RelationKind, s: RelationKind) -> bool:
 
 def _kind_table(
     points: Sequence[int],
-    leq: Callable[[int, int], bool],
-    meet_bottom: Callable[[int, int], bool],
-    join_top: Callable[[int, int], bool],
+    meet: Callable[[int, int], int],
+    join: Callable[[int, int], int],
+    bottom: int,
+    top: int,
 ) -> tuple[tuple[RelationKind, ...], ...]:
     """The seven-clause kind of every ordered pair of ``points``.
 
-    This is the one classifier behind crisp and fuzzy diagrams: points are
-    ids of lattice elements (equal ids, equal elements), ``leq`` is the
-    lattice order on them, and the other two predicates say whether a pair's
-    meet is the bottom and its join the top.
+    This is the one classifier behind crisp and fuzzy diagrams.  Points are
+    ids of lattice elements (equal ids, equal elements); ``meet`` and
+    ``join`` map two ids to the id of their meet and join, and ``bottom``
+    and ``top`` are the ids of the bounds.  The order is read off the meet,
+    x <= y iff x ∧ y = x, which holds in every lattice.  Crisp diagrams pass
+    bitmasks with ``operator.and_``, ``operator.or_``, 0 and the mask; fuzzy
+    diagrams pass lookups into their certified glb/lub tables.
     """
-
-    def kind(x: int, y: int) -> RelationKind:
-        if x == y:
-            return RelationKind.BI
-        if leq(x, y):
-            return RelationKind.LI
-        if leq(y, x):
-            return RelationKind.RI
-        meet_is_bottom = meet_bottom(x, y)
-        join_is_top = join_top(x, y)
-        if meet_is_bottom and join_is_top:
-            return RelationKind.CD
-        if meet_is_bottom:
-            return RelationKind.C
-        if join_is_top:
-            return RelationKind.SC
-        return RelationKind.UN
-
-    return tuple(tuple(kind(x, y) for y in points) for x in points)
-
-
-def _bitmask_kind_table(points: Sequence[int], mask: int) -> tuple[tuple[RelationKind, ...], ...]:
-    """Kind table of bitmask elements of the powerset algebra with top ``mask``."""
-    return _kind_table(
-        points,
-        lambda x, y: x & y == x,
-        lambda x, y: x & y == 0,
-        lambda x, y: x | y == mask,
-    )
+    BI, LI, RI, CD, C, SC, UN = RelationKind
+    table = []
+    for x in points:
+        row = []
+        meets = map(meet, repeat(x), points)
+        joins = map(join, repeat(x), points)
+        for y, m, j in zip(points, meets, joins):
+            if x == y:
+                kind = BI
+            elif m == x:
+                kind = LI
+            elif m == y:
+                kind = RI
+            elif m == bottom:
+                kind = CD if j == top else C
+            elif j == top:
+                kind = SC
+            else:
+                kind = UN
+            row.append(kind)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def classify(x: Element, y: Element) -> RelationKind:
     """Classify the logical relation between two elements of one algebra."""
     x._require_same_algebra(y)
-    return _bitmask_kind_table((x.bits, y.bits), x.algebra.mask)[0][1]
+    return _kind_table((x.bits, y.bits), and_, or_, 0, x.algebra.mask)[0][1]
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ class Diagram:
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
         """The seven-clause kind of every fragment pair; the diagonal is BI."""
         bits = tuple(e.bits for e in self.fragment)
-        return _bitmask_kind_table(bits, self.algebra.mask)
+        return _kind_table(bits, and_, or_, 0, self.algebra.mask)
 
     def __len__(self) -> int:
         return len(self.fragment)
@@ -250,47 +249,141 @@ def check_iso(m: DiagramMap) -> bool:
     )
 
 
+#: Small integer code of each kind, so the search indexes lists, not enum hashes.
+_KIND_CODE = {kind: code for code, kind in enumerate(RelationKind)}
+_KIND_COUNT = len(RelationKind)
+
+
+def _pair_codes(table: Sequence[Sequence[RelationKind]]) -> list[list[int]]:
+    """Cell (i, p) of a kind table as one code for the kinds of (i, p) and (p, i)."""
+    codes = [[_KIND_CODE[kind] for kind in row] for row in table]
+    return [
+        [_KIND_COUNT * a + b for a, b in zip(row, col)] for row, col in zip(codes, zip(*codes))
+    ]
+
+
+def _iso_problem(
+    t1: Sequence[Sequence[RelationKind]], t2: Sequence[Sequence[RelationKind]]
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The search input for isomorphisms from kind table ``t1`` onto ``t2``.
+
+    Returns the pair codes of ``t1``; for each target j, the bitmask of the
+    other targets q whose cell (j, q) has each pair code; and each
+    position's start candidates: the targets with the same diagonal cell and
+    the same multiset of pair codes in their row, a refinement invariant
+    that every isomorphism preserves.
+    """
+    c1, c2 = _pair_codes(t1), _pair_codes(t2)
+    reach = []
+    for j, row in enumerate(c2):
+        masks = [0] * _KIND_COUNT**2
+        for q, code in enumerate(row):
+            if q != j:
+                masks[code] |= 1 << q
+        reach.append(masks)
+    signatures = [(row[j], sorted(row)) for j, row in enumerate(c2)]
+    start = []
+    for i, row in enumerate(c1):
+        signature = (row[i], sorted(row))
+        start.append(sum(1 << j for j, other in enumerate(signatures) if other == signature))
+    return c1, reach, start
+
+
+def _iso_solutions(
+    codes: list[list[int]], reach: list[list[int]], candidates: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every code-preserving bijection with position i sent into ``candidates[i]``.
+
+    Forward checking: positions are filled in order, each with its remaining
+    candidates in increasing order, so solutions come lexicographically.
+    Sending i to j intersects the candidate set of every later position p
+    with ``reach[j][codes[i][p]]``, which also removes j itself; an empty
+    set prunes the branch at once.  The depth-first walk keeps its own
+    stack: ``later[i]`` holds the candidate sets of positions after i and
+    ``untried[i]`` the candidates of i not yet tried.
+    """
+    n = len(codes)
+    rows = [row[i + 1 :] for i, row in enumerate(codes)]
+    assigned = [0] * n
+    later = [candidates[1:]] + [[]] * (n - 1)
+    untried = [candidates[0]] + [0] * (n - 1)
+    i = 0
+    while i >= 0:
+        bits = untried[i]
+        if not bits:
+            i -= 1
+            continue
+        low = bits & -bits
+        untried[i] = bits ^ low
+        j = assigned[i] = low.bit_length() - 1
+        if i == n - 1:
+            yield tuple(assigned)
+            continue
+        masks = reach[j]
+        rest = [c & masks[code] for c, code in zip(later[i], rows[i])]
+        if 0 in rest:
+            continue
+        i += 1
+        untried[i] = rest[0]
+        later[i] = rest[1:]
+
+
+def iter_isos(
+    d1: Diagram | FuzzyAristotelianDiagram, d2: Diagram | FuzzyAristotelianDiagram
+) -> Iterator[DiagramMap]:
+    """The isomorphisms of :func:`find_isos`, lazily and in the same order."""
+    n = len(d1.fragment)
+    if n != len(d2.fragment):
+        return iter(())
+    if n > MAX_ISO_FRAGMENT:
+        raise ValueError(f"fragments larger than {MAX_ISO_FRAGMENT} are refused")
+    solutions = _iso_solutions(*_iso_problem(d1.kind_table, d2.kind_table))
+    return (DiagramMap(d1, d2, mapping) for mapping in solutions)
+
+
 def find_isos(
     d1: Diagram | FuzzyAristotelianDiagram, d2: Diagram | FuzzyAristotelianDiagram
 ) -> list[DiagramMap]:
     """All relation-preserving bijections between two fragments.
 
-    Backtracking search with relation-compatibility pruning; results are in
+    A depth-first search over bitmask candidate sets.  Each position starts
+    from the targets whose kind row and column hold the same multiset of
+    kinds (a refinement invariant); each assignment narrows the candidates
+    of every later position through precomputed per-target masks (forward
+    checking), and an empty candidate set prunes at once.  Results are in
     lexicographic order of the mapping tuples, so output is deterministic.
     Fragments of different sizes have no bijections; fragments larger than
     10 are refused (factorial blowup).
     """
-    n = len(d1.fragment)
-    if n != len(d2.fragment):
-        return []
-    if n > MAX_ISO_FRAGMENT:
-        raise ValueError(f"fragments larger than {MAX_ISO_FRAGMENT} are refused")
-    t1 = d1.kind_table
-    t2 = d2.kind_table
-    found: list[DiagramMap] = []
-    assigned: list[int] = []
-    used = [False] * n
+    return list(iter_isos(d1, d2))
 
-    def place(i: int) -> None:
-        if i == n:
-            found.append(DiagramMap(d1, d2, tuple(assigned)))
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            if any(
-                t1[k][i] != t2[assigned[k]][j] or t1[i][k] != t2[j][assigned[k]]
-                for k in range(i)
-            ):
-                continue
-            assigned.append(j)
-            used[j] = True
-            place(i + 1)
-            used[j] = False
-            assigned.pop()
 
-    place(0)
-    return found
+def count_isos(
+    d1: Diagram | FuzzyAristotelianDiagram, d2: Diagram | FuzzyAristotelianDiagram
+) -> int:
+    """The number of isomorphisms from ``d1`` to ``d2``, without listing them.
+
+    It is 0 or |Aut(d2)|: composing one isomorphism with each automorphism
+    of ``d2`` gives each isomorphism once.  |Aut(d2)| is the product of the
+    orbit sizes along the stabilizer chain (orbit-stabilizer): the orbit of
+    position k under the automorphisms fixing 0..k-1 holds each j for which
+    one search, with 0..k-1 pinned to themselves and k pinned to j, finds a
+    first solution.  Sizes are refused as in :func:`find_isos`.
+    """
+    if next(iter_isos(d1, d2), None) is None:
+        return 0
+    codes, reach, pinned = _iso_problem(d2.kind_table, d2.kind_table)
+    count = 1
+    for k, bits in enumerate(pinned):
+        orbit = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            pinned[k] = low
+            orbit += next(_iso_solutions(codes, reach, pinned), None) is not None
+        pinned[k] = 1 << k
+        count *= orbit
+    return count
 
 
 def check_infomorphism(m: DiagramMap) -> bool:

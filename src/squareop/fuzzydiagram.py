@@ -83,12 +83,13 @@ class FuzzyAristotelianDiagram:
         """The seven-clause kind of every fragment pair, in the derived order."""
         lat = self.lattice
         s = lat._structure
-        up, glb, lub, bottom, top = s.up, s.glb, s.lub, s.bottom, s.top
+        glb, lub = s.glb, s.lub
         return _kind_table(
             tuple(map(lat.index, self.fragment)),
-            lambda x, y: up[x] >> y & 1,
-            lambda x, y: glb[x][y] == bottom,
-            lambda x, y: lub[x][y] == top,
+            lambda x, y: glb[x][y],
+            lambda x, y: lub[x][y],
+            s.bottom,
+            s.top,
         )
 
     def __len__(self) -> int:

@@ -56,7 +56,15 @@ def _expect_object(obj: Any, path: str) -> dict:
 
 
 def _expect_str(obj: Any, path: str) -> str:
+    """A string that UTF-8 output can carry; JSON escapes such as ``"\\ud800"``
+    can produce lone surrogates, which it cannot."""
     _expect(isinstance(obj, str), f"expected a string, got {type(obj).__name__}", path)
+    try:
+        obj.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputFormatError(
+            f"string cannot be encoded as UTF-8 (lone surrogate at index {exc.start})", path
+        ) from None
     return obj
 
 

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import squareop
 from squareop.algebra import BooleanAlgebra
-from squareop.cli import main
+from squareop.cli import ISO_LISTING_CAP, main
 from squareop.diagram import Diagram, canonical_square
 from squareop.dot import diagram_to_dot, fuzzy_diagram_to_dot
 from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
@@ -190,6 +196,37 @@ class TestIsoAndInfo:
         payload = json.loads(out)
         assert payload["count"] == 2
         assert payload["isomorphisms"] == [[0, 1, 2, 3], [1, 0, 3, 2]]
+
+    def test_square_text_lists_every_map(self, square_file, capsys):
+        code, out, _ = run(capsys, "iso", square_file, square_file)
+        assert code == 0
+        assert out.splitlines()[0] == "isomorphisms found: 2"
+        assert len(out.splitlines()) == 3 and "listed" not in out
+
+    @pytest.fixture
+    def contrary_ten_file(self, tmp_path):
+        atoms = [f"a{i}" for i in range(10)]
+        path = tmp_path / "contrary10.json"
+        path.write_text(json.dumps({"algebra": {"atoms": atoms}, "fragment": [[a] for a in atoms]}))
+        return str(path)
+
+    def test_text_listing_stops_at_the_cap(self, contrary_ten_file, capsys):
+        count = math.factorial(10)
+        code, out, _ = run(capsys, "iso", contrary_ten_file, contrary_ten_file)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == f"isomorphisms found: {count}"
+        assert lines[-1] == f"listed {ISO_LISTING_CAP} of {count}"
+        assert len(lines) == ISO_LISTING_CAP + 2
+        assert lines[1] == "  " + ", ".join(f"{{a{i}}} -> {{a{i}}}" for i in range(10))
+
+    def test_json_listing_stops_at_the_cap(self, contrary_ten_file, capsys):
+        code, out, _ = run(capsys, "iso", contrary_ten_file, contrary_ten_file, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == math.factorial(10)
+        assert payload["listed"] == len(payload["isomorphisms"]) == ISO_LISTING_CAP
+        assert payload["isomorphisms"][:2] == [list(range(10)), list(range(8)) + [9, 8]]
 
     def test_check_given_map(self, square_file, capsys):
         code, out, _ = run(capsys, "iso", square_file, square_file, "--map", "1,0,3,2")
@@ -506,3 +543,19 @@ class TestErrorsBecomeExitCodes:
         code, out, err = run(capsys, command, str(file))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: ")
+
+
+def test_lone_surrogate_is_exit_2_before_any_output(tmp_path):
+    """A string JSON can hold but UTF-8 output cannot; only a real process
+    writes stdout through a strict UTF-8 encoder, so this runs one."""
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"\\ud800": "1/2"}', encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]),
+               PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "squareop.cli", "contradiction", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: $: string cannot be encoded as UTF-8")
+    assert b"Traceback" not in proc.stderr

@@ -3,10 +3,11 @@
 Every subcommand that reads files is fed arbitrary bytes, arbitrary JSON
 values and schema-shaped documents drawn from small pools, so that duplicate
 and blank labels, over-limit sizes (a 17-element carrier, an 11-element
-fragment), out-of-range ``--map`` indices and over-cap degrees actually
-occur.  ``cli.main`` runs in-process; each run must end with exit code 0, 1
-or 2 (argparse's ``SystemExit(2)`` included), let no other exception escape,
-and finish within the per-example deadline.
+fragment), a 10-element fragment with 10! isomorphisms, out-of-range
+``--map`` indices and over-cap degrees actually occur.  ``cli.main`` runs
+in-process; each run must end with exit code 0, 1 or 2 (argparse's
+``SystemExit(2)`` included), let no other exception escape, and finish
+within the per-example deadline.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra
 from squareop.cli import main
@@ -55,6 +56,10 @@ ELEVEN = {  # over the iso fragment limit
     "fragment": [["a"], ["b"], ["c"], ["d"], ["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
                  ["b", "d"], ["c", "d"], ["a", "b", "c"]],
 }
+CONTRARY_TEN = {  # at the iso fragment limit, with 10! isomorphisms onto itself
+    "algebra": {"atoms": list("abcdefghij")},
+    "fragment": [[a] for a in "abcdefghij"],
+}
 FUZZY_SQUARE = fuzzy_diagram_to_json(embed_diagram(canonical_square()))
 
 
@@ -89,7 +94,7 @@ def relations(draw):
 @st.composite
 def crisp_diagrams(draw):
     if draw(st.booleans()):
-        return draw(st.sampled_from([ELEVEN, SQUARE]))
+        return draw(st.sampled_from([ELEVEN, CONTRARY_TEN, SQUARE]))
     atoms = draw(
         st.one_of(
             st.lists(st.sampled_from(ATOMS), max_size=4),
@@ -210,7 +215,12 @@ def test_arbitrary_json(invocation):
     check_exit_code(*invocation)
 
 
+TEN_BYTES = json.dumps(CONTRARY_TEN).encode()
+
+
 @settings(FUZZ, max_examples=300)
 @given(invocations())
+@example(("iso", [TEN_BYTES, TEN_BYTES], []))  # iso at its limit, within the deadline
+@example(("iso", [TEN_BYTES, TEN_BYTES], ["--format=json"]))
 def test_schema_shaped(invocation):
     check_exit_code(*invocation)

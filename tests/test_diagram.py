@@ -1,25 +1,33 @@
 import itertools
+import math
 import random
+from operator import and_, or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra
 from squareop.diagram import (
     INFORMATIVITY_COVERS,
+    MAX_ISO_FRAGMENT,
     Diagram,
     DiagramMap,
     RelationKind,
+    _kind_table,
     canonical_square,
     check_infomorphism,
     check_iso,
     classify,
     compose_maps,
+    count_isos,
     find_isos,
     informativity_leq,
     informativity_order,
+    iter_isos,
     relation_table,
 )
-from squareop.sampling import random_crisp_diagram
+from squareop.fuzzydiagram import FuzzyAristotelianDiagram
+from squareop.sampling import random_crisp_diagram, random_fuzzy_diagram
 
 BI, LI, RI = RelationKind.BI, RelationKind.LI, RelationKind.RI
 CD, C, SC, UN = RelationKind.CD, RelationKind.C, RelationKind.SC, RelationKind.UN
@@ -194,6 +202,144 @@ class TestInformativity:
         for r, s, t in itertools.product(kinds, repeat=3):
             if informativity_leq(r, s) and informativity_leq(s, t):
                 assert informativity_leq(r, t)
+
+
+def cascade_table(points, mask):
+    """The README's seven clauses on bitmasks, in order; the first match wins."""
+
+    def kind(x, y):
+        if x == y:
+            return BI
+        if x & y == x:
+            return LI
+        if x & y == y:
+            return RI
+        if x & y == 0 and x | y == mask:
+            return CD
+        if x & y == 0:
+            return C
+        if x | y == mask:
+            return SC
+        return UN
+
+    return tuple(tuple(kind(x, y) for y in points) for x in points)
+
+
+MASK16 = 0xFFFF
+
+
+@st.composite
+def bitmask_points(draw):
+    """16-atom bitmasks with their complements, unions and bounds mixed in,
+    so every clause of the cascade occurs."""
+    base = draw(st.lists(st.integers(0, MASK16), min_size=1, max_size=12))
+    extra = draw(st.lists(st.sampled_from(base), max_size=4))
+    points = base + [x ^ MASK16 for x in extra] + [x | y for x, y in zip(base, extra)]
+    points += draw(st.lists(st.sampled_from([0, MASK16]), max_size=2))
+    return draw(st.permutations(points))
+
+
+class TestKindTable:
+    @settings(max_examples=200, deadline=None)
+    @given(bitmask_points())
+    def test_matches_the_seven_clause_cascade(self, points):
+        assert _kind_table(points, and_, or_, 0, MASK16) == cascade_table(points, MASK16)
+
+
+def brute_force_isos(d1, d2):
+    """Every bijection that check_iso accepts, in lexicographic order."""
+    if len(d1.fragment) != len(d2.fragment):
+        return []
+    return [
+        perm
+        for perm in itertools.permutations(range(len(d1.fragment)))
+        if check_iso(DiagramMap(d1, d2, perm))
+    ]
+
+
+@st.composite
+def crisp_pairs(draw, max_size):
+    """Two fragments of one size on 1-5 atoms: a random pair, or the second
+    a permuted copy of the first (atoms relabelled, fragment reordered)."""
+    k = draw(st.integers(1, 5))
+    algebra = BooleanAlgebra.of(k)
+    bits = st.integers(0, algebra.mask)
+    first = draw(st.lists(bits, min_size=1, max_size=max_size, unique=True))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(k)))
+        images = [sum(1 << perm[i] for i in range(k) if b >> i & 1) for b in first]
+        second = draw(st.permutations(images))
+    else:
+        second = draw(st.lists(bits, min_size=len(first), max_size=len(first), unique=True))
+    return tuple(Diagram(algebra, tuple(map(algebra.element, f))) for f in (first, second))
+
+
+@st.composite
+def fuzzy_pairs(draw, max_size):
+    """A random fuzzy diagram and a reordered copy of it, or a fragment of
+    the same size in another random fuzzy diagram's carrier."""
+    rng = draw(st.randoms(use_true_random=False))
+    first = random_fuzzy_diagram(rng, max_fragment=max_size)
+    n = len(first.fragment)
+    if draw(st.booleans()):
+        return first, FuzzyAristotelianDiagram(first.lattice, rng.sample(first.fragment, n))
+    lattice = random_fuzzy_diagram(rng).lattice
+    if len(lattice.carrier) < n:
+        return first, FuzzyAristotelianDiagram(lattice, lattice.carrier)
+    return first, FuzzyAristotelianDiagram(lattice, rng.sample(lattice.carrier, n))
+
+
+def contrary_atoms(k):
+    algebra = BooleanAlgebra.of(k)
+    return Diagram(algebra, tuple(algebra.atom(i) for i in range(k)))
+
+
+class TestIsoSearch:
+    """The forward-checked search against brute force, and the orbit count
+    against the length of the list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(crisp_pairs(max_size=7))
+    def test_find_isos_is_brute_force_on_crisp_pairs(self, pair):
+        assert [m.mapping for m in find_isos(*pair)] == brute_force_isos(*pair)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fuzzy_pairs(max_size=7))
+    def test_find_isos_is_brute_force_on_fuzzy_pairs(self, pair):
+        assert [m.mapping for m in find_isos(*pair)] == brute_force_isos(*pair)
+
+    @settings(max_examples=150, deadline=None)
+    @given(crisp_pairs(max_size=8))
+    def test_count_is_the_length_of_the_list_on_crisp_pairs(self, pair):
+        assert count_isos(*pair) == len(find_isos(*pair))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fuzzy_pairs(max_size=8))
+    def test_count_is_the_length_of_the_list_on_fuzzy_pairs(self, pair):
+        assert count_isos(*pair) == len(find_isos(*pair))
+
+    def test_iter_isos_is_lazy_and_in_list_order(self):
+        square = canonical_square()
+        assert [m.mapping for m in iter_isos(square, square)] == [
+            m.mapping for m in find_isos(square, square)
+        ]
+        ten = contrary_atoms(MAX_ISO_FRAGMENT)
+        first = list(itertools.islice(iter_isos(ten, ten), 3))
+        assert [m.mapping[-3:] for m in first] == [(7, 8, 9), (7, 9, 8), (8, 7, 9)]
+
+    def test_count_at_the_size_limit(self):
+        ten = contrary_atoms(MAX_ISO_FRAGMENT)
+        assert count_isos(ten, ten) == math.factorial(MAX_ISO_FRAGMENT)
+        assert count_isos(canonical_square(), canonical_square()) == 2
+        assert count_isos(canonical_square(), contrary_atoms(4)) == 0
+        assert count_isos(canonical_square(), contrary_atoms(3)) == 0
+
+    def test_every_entry_point_refuses_large_fragments(self):
+        b = BooleanAlgebra.of(4)
+        big = Diagram(b, tuple(b.element(i) for i in range(MAX_ISO_FRAGMENT + 1)))
+        for search in (find_isos, iter_isos, count_isos):
+            with pytest.raises(ValueError, match="larger than 10"):
+                search(big, big)
 
 
 class TestIsomorphisms:

@@ -164,3 +164,55 @@ class TestDiagnostics:
         with pytest.raises(ValueError) as exc:
             fuzzy_diagram_from_json(payload)
         assert not isinstance(exc.value, InputFormatError)
+
+
+LONE = "\ud800"  # a lone surrogate: valid in a JSON escape, not in UTF-8
+
+
+def _with_lone_surrogate(doc, *keys):
+    """A deep copy of ``doc`` with the string at ``keys`` replaced by ``LONE``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = LONE
+    return doc
+
+
+_SQUARE = diagram_to_json(canonical_square())
+_FUZZY = fuzzy_diagram_to_json(embed_diagram(canonical_square()))
+
+
+class TestLoneSurrogates:
+    @pytest.mark.parametrize(
+        "parse, doc, path",
+        [
+            (algebra_from_json, {"atoms": ["a", LONE]}, "$.atoms[1]"),
+            (diagram_from_json, _with_lone_surrogate(_SQUARE, "algebra", "atoms", 0),
+             "$.algebra.atoms[0]"),
+            (diagram_from_json, _with_lone_surrogate(_SQUARE, "fragment", 1, 0),
+             "$.fragment[1][0]"),
+            (diagram_from_json, _with_lone_surrogate(_SQUARE, "labels", 2), "$.labels[2]"),
+            (relation_from_json, {"set": [LONE], "mu": [["1"]], "nu": [["0"]]}, "$.set[0]"),
+            (relation_from_json, {"carrier": ["x", LONE], "mu": [["1", "0"], ["0", "1"]],
+                                  "nu": [["0", "1"], ["1", "0"]]}, "$.carrier[1]"),
+            (fuzzy_diagram_from_json, _with_lone_surrogate(_FUZZY, "lattice", "carrier", 3),
+             "$.lattice.carrier[3]"),
+            (fuzzy_diagram_from_json, _with_lone_surrogate(_FUZZY, "fragment", 0),
+             "$.fragment[0]"),
+            (fuzzy_diagram_from_json, _with_lone_surrogate(_FUZZY, "labels", 1), "$.labels[1]"),
+            (fuzzy_set_from_json, {"x": "1/2", LONE: "1/3"}, "$"),
+            (fuzzy_set_from_json, {"x": LONE}, "$.x"),
+        ],
+        ids=["atom", "diagram-atom", "fragment-atom", "diagram-label", "set", "carrier",
+             "lattice-carrier", "fuzzy-fragment", "fuzzy-label", "fuzzy-set-key", "degree"],
+    )
+    def test_rejected_with_the_path(self, parse, doc, path):
+        with pytest.raises(InputFormatError, match="cannot be encoded as UTF-8") as exc:
+            parse(doc)
+        assert exc.value.path == path
+
+    def test_surrogate_pairs_are_accepted(self):
+        label = json.loads('"\\ud83d\\ude00"')  # one astral character, escaped as a pair
+        assert label == "\U0001F600"
+        assert fuzzy_set_from_json({label: "1/2"}).domain == (label,)
