@@ -164,7 +164,12 @@ class Element:
 
     def atom_labels(self) -> tuple[str, ...]:
         """Labels of the member atoms, in atom (bit) order."""
-        return tuple(a for i, a in enumerate(self.algebra.atoms) if self.bits >> i & 1)
+        atoms, bits, labels = self.algebra.atoms, self.bits, []
+        while bits:
+            low = bits & -bits
+            labels.append(atoms[low.bit_length() - 1])
+            bits ^= low
+        return tuple(labels)
 
     def __repr__(self) -> str:
         return "Element({%s})" % ",".join(self.atom_labels())

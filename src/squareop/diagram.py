@@ -27,9 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import and_, or_
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import AlgebraMismatchError, BooleanAlgebra, Element, element_label
 
@@ -87,43 +85,68 @@ def informativity_leq(r: RelationKind, s: RelationKind) -> bool:
     return (r, s) in _INFORMATIVITY_ORDER
 
 
-def _kind_table(
-    points: Sequence[int],
-    meet: Callable[[int, int], int],
-    join: Callable[[int, int], int],
-    bottom: int,
-    top: int,
-) -> tuple[tuple[RelationKind, ...], ...]:
-    """The seven-clause kind of every ordered pair of ``points``.
+def _kind_table(masks: Sequence[int], top: int) -> tuple[tuple[RelationKind, ...], ...]:
+    """The seven-clause kind of every ordered pair of ``masks``.
 
-    This is the one classifier behind crisp and fuzzy diagrams.  Points are
-    ids of lattice elements (equal ids, equal elements); ``meet`` and
-    ``join`` map two ids to the id of their meet and join, and ``bottom``
-    and ``top`` are the ids of the bounds.  The order is read off the meet,
-    x <= y iff x ∧ y = x, which holds in every lattice.  Crisp diagrams pass
-    bitmasks with ``operator.and_``, ``operator.or_``, 0 and the mask; fuzzy
-    diagrams pass lookups into their certified glb/lub tables.
+    This is the one classifier behind crisp and fuzzy diagrams.  Each point
+    is a set of atoms as a bitmask and ``top`` is the set of all atoms, so
+    meet is ``&``, join is ``|`` and bottom is 0.  Crisp diagrams pass their
+    element bits and the algebra's mask.  A fuzzy diagram's certified
+    Boolean algebra embeds in the powerset of its join-irreducibles
+    (Birkhoff), so it passes each element's mask of join-irreducibles below
+    it and the mask of all of them.
+
+    The table is bit-sliced.  The points are transposed once into one n-bit
+    column per distinct atom column (bit i set iff point i holds the atom).
+    For row x, the up-set {y : x <= y} is the AND of the columns x holds and
+    the down-set the complement of the OR of the others; the meet-zero set
+    is the complement of the OR of x's columns and the join-top set the AND
+    of the others, empty when some atom lies in no point.  The BI, LI, RI,
+    CD, C and SC sets follow from these in clause order, and only their set
+    bits are written into a row of UN.  BI means equal masks, so duplicate
+    points are BI to each other.
     """
     BI, LI, RI, CD, C, SC, UN = RelationKind
+    n = len(masks)
+    everything = (1 << n) - 1
+    width = top.bit_length()
+    # one binary string per point, last point first and a sentinel 1 on top,
+    # so character k of every string is atom width - k
+    strings = [format(x | 1 << width, "b") for x in reversed(masks)]
+    columns = {
+        int("".join(bits), 2)
+        for atom, bits in zip(range(width, -1, -1), zip(*strings))
+        if top >> atom & 1
+    }
     table = []
-    for x in points:
-        row = []
-        meets = map(meet, repeat(x), points)
-        joins = map(join, repeat(x), points)
-        for y, m, j in zip(points, meets, joins):
-            if x == y:
-                kind = BI
-            elif m == x:
-                kind = LI
-            elif m == y:
-                kind = RI
-            elif m == bottom:
-                kind = CD if j == top else C
-            elif j == top:
-                kind = SC
+    for i in range(n):
+        up = join_top = everything
+        held = other = 0
+        for column in columns:
+            if column >> i & 1:
+                up &= column
+                held |= column
             else:
-                kind = UN
-            row.append(kind)
+                other |= column
+                join_top &= column
+        down = everything ^ other
+        bi = up & down
+        rest = everything ^ (up | down)
+        meet_zero = rest & ~held
+        cd = meet_zero & join_top
+        row = [UN] * n
+        for kind, bits in (
+            (BI, bi),
+            (LI, up ^ bi),
+            (RI, down ^ bi),
+            (CD, cd),
+            (C, meet_zero ^ cd),
+            (SC, (rest & join_top) ^ cd),
+        ):
+            while bits:
+                low = bits & -bits
+                row[low.bit_length() - 1] = kind
+                bits ^= low
         table.append(tuple(row))
     return tuple(table)
 
@@ -131,7 +154,7 @@ def _kind_table(
 def classify(x: Element, y: Element) -> RelationKind:
     """Classify the logical relation between two elements of one algebra."""
     x._require_same_algebra(y)
-    return _kind_table((x.bits, y.bits), and_, or_, 0, x.algebra.mask)[0][1]
+    return _kind_table((x.bits, y.bits), x.algebra.mask)[0][1]
 
 
 @dataclass(frozen=True)
@@ -167,8 +190,7 @@ class Diagram:
     @cached_property
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
         """The seven-clause kind of every fragment pair; the diagonal is BI."""
-        bits = tuple(e.bits for e in self.fragment)
-        return _kind_table(bits, and_, or_, 0, self.algebra.mask)
+        return _kind_table([e.bits for e in self.fragment], self.algebra.mask)
 
     def __len__(self) -> int:
         return len(self.fragment)
@@ -220,6 +242,18 @@ class DiagramMap:
         for j in self.mapping:
             if not 0 <= j < len(self.target.fragment):
                 raise ValueError(f"mapping target index {j} out of range")
+
+    @classmethod
+    def _trusted(
+        cls,
+        source: Diagram | FuzzyAristotelianDiagram,
+        target: Diagram | FuzzyAristotelianDiagram,
+        mapping: tuple[int, ...],
+    ) -> "DiagramMap":
+        """A map whose mapping is known to be total and in range: no re-check."""
+        m = object.__new__(cls)
+        m.__dict__.update(source=source, target=target, mapping=mapping)
+        return m
 
     @property
     def is_bijection(self) -> bool:
@@ -338,7 +372,7 @@ def iter_isos(
     if n > MAX_ISO_FRAGMENT:
         raise ValueError(f"fragments larger than {MAX_ISO_FRAGMENT} are refused")
     solutions = _iso_solutions(*_iso_problem(d1.kind_table, d2.kind_table))
-    return (DiagramMap(d1, d2, mapping) for mapping in solutions)
+    return (DiagramMap._trusted(d1, d2, mapping) for mapping in solutions)
 
 
 def find_isos(

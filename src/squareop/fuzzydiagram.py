@@ -35,7 +35,6 @@ from .diagram import (
     Diagram,
     DiagramMap,
     RelationKind,
-    _kind_table,
     canonical_square,
     check_infomorphism,
     compose_maps,
@@ -80,17 +79,39 @@ class FuzzyAristotelianDiagram:
 
     @cached_property
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
-        """The seven-clause kind of every fragment pair, in the derived order."""
+        """The seven-clause kind of every fragment pair, in the derived order.
+
+        The kinds depend on the derived crisp order alone, never on the
+        degrees, so this slices the carrier-wide table that every lattice
+        with the same derived order shares.
+        """
+        table = self.lattice._structure.kind_table
+        index = tuple(map(self.lattice.index, self.fragment))
+        return tuple(tuple(map(table[i].__getitem__, index)) for i in index)
+
+    @cached_property
+    def _classifications(self) -> tuple[tuple[FuzzyClassification, ...], ...]:
+        """Every fragment pair's kind with the degrees of its witnessing edge."""
         lat = self.lattice
-        s = lat._structure
-        glb, lub = s.glb, s.lub
-        return _kind_table(
-            tuple(map(lat.index, self.fragment)),
-            lambda x, y: glb[x][y],
-            lambda x, y: lub[x][y],
-            s.bottom,
-            s.top,
-        )
+        pair, neg = lat.order.pair, lat._unique_complement
+        index = tuple(map(lat.index, self.fragment))
+        table = []
+        for x, kinds in zip(index, self.kind_table):
+            row = []
+            for y, kind in zip(index, kinds):
+                if kind is RelationKind.BI or kind is RelationKind.LI:
+                    edge = pair(x, y)
+                elif kind is RelationKind.RI:
+                    edge = pair(y, x)
+                elif kind is RelationKind.CD or kind is RelationKind.C:
+                    edge = pair(x, neg(y))
+                elif kind is RelationKind.SC:
+                    edge = pair(neg(y), x)
+                else:
+                    edge = FULL
+                row.append(FuzzyClassification(kind, edge))
+            table.append(tuple(row))
+        return tuple(table)
 
     def __len__(self) -> int:
         return len(self.fragment)
@@ -115,27 +136,13 @@ def classify_fuzzy(d: FuzzyAristotelianDiagram, x: str, y: str) -> FuzzyClassifi
     """Seven-clause classification in the derived order, with annotation."""
     d._require_member(x)
     d._require_member(y)
-    kind = d.kind_table[d.fragment.index(x)][d.fragment.index(y)]
-    lat = d.lattice
-    if kind in (RelationKind.BI, RelationKind.LI):
-        edge = (x, y)
-    elif kind == RelationKind.RI:
-        edge = (y, x)
-    elif kind in (RelationKind.CD, RelationKind.C):
-        edge = (x, lat.unique_complement(y))
-    elif kind == RelationKind.SC:
-        edge = (lat.unique_complement(y), x)
-    else:
-        return FuzzyClassification(RelationKind.UN, FULL)
-    return FuzzyClassification(kind, lat.order.pair_of(*edge))
+    return d._classifications[d.fragment.index(x)][d.fragment.index(y)]
 
 
 def fuzzy_relation_table(
     d: FuzzyAristotelianDiagram,
 ) -> tuple[tuple[FuzzyClassification, ...], ...]:
-    return tuple(
-        tuple(classify_fuzzy(d, x, y) for y in d.fragment) for x in d.fragment
-    )
+    return d._classifications
 
 
 # the map layer is shared with crisp diagrams; these names are kept as aliases

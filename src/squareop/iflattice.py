@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .algebra import BooleanAlgebra, element_label
+from .diagram import RelationKind, _kind_table
 from .ifrel import IFRelation, is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
 
 MAX_CARRIER = 16
@@ -59,8 +60,9 @@ class _OrderStructure:
     """Degree-free structure of a crisp partial order on indices 0..n-1.
 
     ``up[i]`` is the bitmask of {k : i <= k}; ``lub``/``glb`` hold an index
-    or None per pair.  ``bottom``, ``top``, ``is_distributive`` and
-    ``complements`` (the complement indices of each element) are None
+    or None per pair.  ``bottom``, ``top``, ``is_distributive``,
+    ``complements`` (the complement indices of each element) and ``atoms``
+    (the bitmask of the join-irreducibles below each element) are None
     unless ``is_lattice``.
     """
 
@@ -72,6 +74,17 @@ class _OrderStructure:
     top: int | None
     is_distributive: bool | None
     complements: tuple[tuple[int, ...], ...] | None
+    atoms: tuple[int, ...] | None
+
+    @cached_property
+    def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
+        """The seven-clause kind of every pair of carrier indices.
+
+        Only for distributive lattices: there each element's set of
+        join-irreducibles below it turns glb and lub into ``&`` and ``|``
+        (Birkhoff), so the atom masks classify exactly as the order does.
+        """
+        return _kind_table(self.atoms, self.atoms[self.top])
 
 
 @lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
@@ -90,7 +103,7 @@ def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
     lub = tuple(tuple(by_up.get(a & b) for b in up) for a in up)
     glb = tuple(tuple(by_down.get(a & b) for b in down) for a in down)
     if any(None in row for row in lub + glb):
-        return _OrderStructure(up, lub, glb, False, None, None, None, None)
+        return _OrderStructure(up, lub, glb, False, None, None, None, None, None)
     full = (1 << size) - 1
     if full not in by_up:
         raise LawViolationError("finite lattice without a bottom element")
@@ -111,7 +124,8 @@ def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
         tuple(j for j in range(size) if glb[i][j] == bottom and lub[i][j] == top)
         for i in range(size)
     )
-    return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements)
+    atoms = tuple(d & irreducible for d in down)
+    return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements, atoms)
 
 
 @dataclass(frozen=True)

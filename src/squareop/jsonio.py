@@ -120,15 +120,26 @@ def diagram_from_json(obj: Any, path: str = "$") -> Diagram:
     for key in ("algebra", "fragment"):
         _expect(key in record, f'missing key "{key}"', path)
     algebra = algebra_from_json(record["algebra"], f"{path}.algebra")
-    fragment = tuple(
-        element_from_json(e, algebra, f"{path}.fragment[{i}]")
-        for i, e in enumerate(_expect_list(record["fragment"], f"{path}.fragment"))
-    )
+    # the atom labels are validated strings, so a label found here is valid;
+    # anything else goes through element_from_json for its error and path
+    bit_of = {label: 1 << i for i, label in enumerate(algebra.atoms)}
+    fragment = []
+    for i, element in enumerate(_expect_list(record["fragment"], f"{path}.fragment")):
+        try:
+            if type(element) is not list:
+                raise TypeError
+            bits = 0
+            for label in element:
+                bits |= bit_of[label]
+        except (KeyError, TypeError):  # not a list, or a label that is no atom
+            fragment.append(element_from_json(element, algebra, f"{path}.fragment[{i}]"))
+        else:
+            fragment.append(Element(bits, algebra))
     labels: tuple[str, ...] = ()
     if "labels" in record:
         labels = _string_list(record["labels"], f"{path}.labels")
     try:
-        return Diagram(algebra, fragment, labels)
+        return Diagram(algebra, tuple(fragment), labels)
     except ValueError as exc:
         raise InputFormatError(str(exc), path) from None
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,25 +224,64 @@ def cascade_table(points, mask):
     return tuple(tuple(kind(x, y) for y in points) for x in points)
 
 
-MASK16 = 0xFFFF
-
-
 @st.composite
-def bitmask_points(draw):
-    """16-atom bitmasks with their complements, unions and bounds mixed in,
-    so every clause of the cascade occurs."""
-    base = draw(st.lists(st.integers(0, MASK16), min_size=1, max_size=12))
+def atom_masks(draw, min_size=1, max_size=24):
+    """Points on 1-16 atoms, as (points, mask).  Complements, unions and the
+    bounds are mixed in, so every clause of the cascade occurs; then some
+    atoms may copy another atom's bit (identical columns), some may be
+    cleared from every point (absent atoms), and some points repeat."""
+    k = draw(st.integers(1, 16))
+    mask = (1 << k) - 1
+    base = draw(st.lists(st.integers(0, mask), min_size=min_size, max_size=max_size))
     extra = draw(st.lists(st.sampled_from(base), max_size=4))
-    points = base + [x ^ MASK16 for x in extra] + [x | y for x, y in zip(base, extra)]
-    points += draw(st.lists(st.sampled_from([0, MASK16]), max_size=2))
-    return draw(st.permutations(points))
+    points = base + [x ^ mask for x in extra] + [x | y for x, y in zip(base, extra)]
+    points += draw(st.lists(st.sampled_from([0, mask]), max_size=2))
+    atom = st.integers(0, k - 1)
+    for a, b in draw(st.lists(st.tuples(atom, atom), max_size=3)):
+        points = [x & ~(1 << b) | (x >> a & 1) << b for x in points]
+    if draw(st.booleans()):
+        present = draw(st.integers(0, mask))
+        points = [x & present for x in points]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points)), mask
 
 
 class TestKindTable:
-    @settings(max_examples=200, deadline=None)
-    @given(bitmask_points())
-    def test_matches_the_seven_clause_cascade(self, points):
-        assert _kind_table(points, and_, or_, 0, MASK16) == cascade_table(points, MASK16)
+    """The bit-sliced kernel against the seven clauses, cell by cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(atom_masks())
+    def test_matches_the_seven_clause_cascade(self, case):
+        points, mask = case
+        assert _kind_table(points, mask) == cascade_table(points, mask)
+
+    @settings(max_examples=15, deadline=None)
+    @given(atom_masks(min_size=150, max_size=200))
+    def test_matches_the_cascade_on_large_fragments(self, case):
+        points, mask = case
+        assert _kind_table(points, mask) == cascade_table(points, mask)
+
+    @pytest.mark.parametrize(
+        "points, mask",
+        [
+            ([0b001, 0b010, 0b011], 0b111),  # atom 2 absent: no join reaches the top
+            ([0b0011, 0b1100, 0b0110, 0b1001], 0b1111),  # pairs of identical columns
+            ([0b01, 0b10, 0b01, 0b11, 0b10], 0b11),  # duplicate points
+            ([0, 1, 0], 1),  # one atom, bounds only
+        ],
+        ids=["absent-atom", "identical-columns", "duplicates", "one-atom"],
+    )
+    def test_edge_cases(self, points, mask):
+        assert _kind_table(points, mask) == cascade_table(points, mask)
+
+    def test_absent_atom_rules_out_cd_and_sc(self):
+        table = _kind_table([0b001, 0b010, 0b011, 0b000], 0b111)
+        assert table[0][1] == C and table[2][3] == RI
+        assert not {CD, SC} & {kind for row in table for kind in row}
+
+    def test_duplicate_points_are_bi(self):
+        table = _kind_table([0b01, 0b10, 0b01], 0b11)
+        assert table[0][2] == table[2][0] == BI
 
 
 def brute_force_isos(d1, d2):
@@ -298,15 +336,26 @@ class TestIsoSearch:
     """The forward-checked search against brute force, and the orbit count
     against the length of the list."""
 
+    @staticmethod
+    def assert_brute_force(d1, d2):
+        """``find_isos`` lists the brute-force maps, and each map it builds
+        without re-validation equals the one the public constructor checks."""
+        found = find_isos(d1, d2)
+        assert [m.mapping for m in found] == brute_force_isos(d1, d2)
+        for m in found:
+            checked = DiagramMap(d1, d2, m.mapping)
+            assert m == checked and hash(m) == hash(checked)
+            assert type(m.mapping) is tuple
+
     @settings(max_examples=150, deadline=None)
     @given(crisp_pairs(max_size=7))
     def test_find_isos_is_brute_force_on_crisp_pairs(self, pair):
-        assert [m.mapping for m in find_isos(*pair)] == brute_force_isos(*pair)
+        self.assert_brute_force(*pair)
 
     @settings(max_examples=40, deadline=None)
     @given(fuzzy_pairs(max_size=7))
     def test_find_isos_is_brute_force_on_fuzzy_pairs(self, pair):
-        assert [m.mapping for m in find_isos(*pair)] == brute_force_isos(*pair)
+        self.assert_brute_force(*pair)
 
     @settings(max_examples=150, deadline=None)
     @given(crisp_pairs(max_size=8))

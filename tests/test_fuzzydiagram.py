@@ -34,6 +34,7 @@ from squareop.fuzzydiagram import (
 from squareop.ifrel import IFRelation
 from squareop.iflattice import powerset_lattice
 from squareop.sampling import (
+    _permute_lattice,
     composable_infomorphism_triples,
     random_crisp_diagram,
     random_fuzzy_diagram,
@@ -122,6 +123,29 @@ class TestClassifyFuzzy:
             for j in range(4):
                 assert table[i][j].kind is crisp_table[i][j]
 
+    def test_table_cells_carry_their_witnessing_edges(self):
+        """Each cell's annotation is the order edge the module docstring
+        names for its kind, read through the label API."""
+        rng = random.Random(43)
+        for _ in range(20):
+            d = random_fuzzy_diagram(rng, max_atoms=3, max_fragment=8)
+            lat = d.lattice
+            for x, row in zip(d.fragment, fuzzy_relation_table(d)):
+                for y, (kind, annotation) in zip(d.fragment, row):
+                    if kind in (BI, LI):
+                        edge = (x, y)
+                    elif kind is RI:
+                        edge = (y, x)
+                    elif kind in (CD, C):
+                        edge = (x, lat.unique_complement(y))
+                    elif kind is SC:
+                        edge = (lat.unique_complement(y), x)
+                    else:
+                        assert annotation == FULL
+                        continue
+                    assert annotation == lat.order.pair_of(*edge)
+                    assert classify_fuzzy(d, x, y) == (kind, annotation)
+
     def test_fragment_membership_required(self):
         lat = two_point_lattice(F(1), F(0))
         d = FuzzyAristotelianDiagram(lat, ("{a}",))
@@ -200,6 +224,26 @@ class TestSharedClassifier:
             assert d.kind_table == expected
             seen.update(kind for row in expected for kind in row)
         assert seen == set(RelationKind)
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+    def test_diagrams_on_one_derived_order_slice_one_table(self, atoms):
+        """Sampled degrees and an atom relabeling leave the derived order,
+        and so the carrier-wide kind table, shared."""
+        rng = random.Random(37 + atoms)
+        lattices = [random_fuzzy_powerset_order(rng, atoms) for _ in range(3)]
+        perm = rng.sample(range(atoms), atoms)
+        lattices += [_permute_lattice(lat, perm)[0] for lat in lattices]
+        assert len({lat.order for lat in lattices}) > 1
+        shared = lattices[0]._structure.kind_table
+        for lat in lattices:
+            assert lat._structure.kind_table is shared
+            assert shared == label_cascade(FuzzyAristotelianDiagram(lat, lat.carrier))
+            for _ in range(5):
+                fragment = rng.sample(lat.carrier, rng.randint(1, len(lat.carrier)))
+                d = FuzzyAristotelianDiagram(lat, fragment)
+                index = [lat.index(x) for x in fragment]
+                assert d.kind_table == tuple(tuple(shared[i][j] for j in index) for i in index)
+                assert d.kind_table == label_cascade(d)
 
     def test_find_isos_agrees_on_embedded_diagrams(self):
         rng = random.Random(29)

@@ -216,3 +216,34 @@ class TestLoneSurrogates:
         label = json.loads('"\\ud83d\\ude00"')  # one astral character, escaped as a pair
         assert label == "\U0001F600"
         assert fuzzy_set_from_json({label: "1/2"}).domain == (label,)
+
+
+class TestFragmentParsing:
+    """Fragment elements are parsed by label lookup; any element that fails
+    it is parsed again by element_from_json, for its message and path."""
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            ("ab", "$.fragment[1]: expected an array, got str"),
+            ({"a": 1}, "$.fragment[1]: expected an array, got dict"),
+            (["a", 1], "$.fragment[1][1]: expected a string, got int"),
+            (["a", ["b"]], "$.fragment[1][1]: expected a string, got list"),
+            (["a", LONE], "$.fragment[1][1]: string cannot be encoded as UTF-8 "
+                          "(lone surrogate at index 0)"),
+            (["a", "z"], "$.fragment[1]: unknown atom label 'z'"),
+        ],
+        ids=["string", "object", "int-label", "list-label", "lone-surrogate", "unknown-label"],
+    )
+    def test_errors_keep_their_message_and_path(self, element, message):
+        doc = {"algebra": {"atoms": ["a", "b"]}, "fragment": [["a"], element]}
+        with pytest.raises(InputFormatError) as exc:
+            diagram_from_json(doc)
+        assert str(exc.value) == message
+        assert exc.value.path == message.split(":")[0]
+
+    def test_repeated_label_is_accepted(self):
+        doc = {"algebra": {"atoms": ["a", "b", "c"]}, "fragment": [["c", "a", "c"], ["b"]]}
+        d = diagram_from_json(doc)
+        assert d.fragment[0] == d.algebra.from_atoms(["a", "c"])
+        assert d.fragment[0].bits == 0b101
