@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 when a requested property fails (input not a
 partial order, map not an infomorphism, ...), 2 on malformed input, with a
 diagnostic naming the offending line or field.  Output is deterministic for
 identical inputs and seeds.  Set SQUAREOP_ASCII for plain-ASCII check marks.
+
+Stdout is written once, after the result is complete, so an error never
+follows partial output.  A reader that closes the pipe early leaves the
+verdict's exit code and nothing on stderr.  A stdout that cannot encode the
+output gets none of it: exit 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .diagram import (
     check_iso,
     count_isos,
     iter_isos,
-    relation_table,
 )
 from .dot import diagram_to_dot, fuzzy_diagram_to_dot
 from .fuzzydiagram import fuzzy_bi_implication, fuzzy_relation_table, verify_category_laws
@@ -38,6 +42,7 @@ from .jsonio import (
     diagram_to_json,
     fuzzy_diagram_from_json,
     fuzzy_set_from_json,
+    ifpair_to_json,
     kind_table_to_json,
     relation_from_json,
 )
@@ -88,28 +93,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 _FLAG_NAMES = {"de_morgan": "De Morgan laws", "if_boolean_algebra": "IF Boolean algebra"}
 
 
-def _emit_flags(flags: dict, fmt: str) -> None:
+def _flags(flags: dict, fmt: str):
     """Verdicts as one JSON object, or one text row each ("-": not reached)."""
     if fmt == "json":
-        _emit_json(flags)
-        return
+        return flags
     ok, fail = _marks()
+    rows = []
     for key, value in flags.items():
         if isinstance(value, bool):
             value = ok if value else fail
         elif value is None:
             value = "-"
-        print(f"{_FLAG_NAMES.get(key, key.replace('_', ' ')):<24} {value}")
+        rows.append(f"{_FLAG_NAMES.get(key, key.replace('_', ' ')):<24} {value}")
+    return rows
 
 
-def _table_text(labels, kinds) -> str:
+def _verdict(name: str, holds: bool, fmt: str):
+    """One yes/no verdict and its exit code."""
+    output = {name: holds} if fmt == "json" else [f"{name}: {'yes' if holds else 'no'}"]
+    return (OK_EXIT if holds else PROPERTY_FAILED), output
+
+
+def _table_lines(labels, kinds) -> list[str]:
     rendered = [[str(k) for k in row] for row in kinds]
     width = max(len(x) for x in labels)
     cell = max([width] + [len(v) for row in rendered for v in row])
@@ -118,7 +126,7 @@ def _table_text(labels, kinds) -> str:
     for label, row in zip(labels, rendered):
         cells = "  ".join(v.ljust(cell) for v in row)
         lines.append(f"{label.ljust(width)}  {cells}".rstrip())
-    return "\n".join(lines)
+    return lines
 
 
 def _parse_map(text: str, source, target) -> DiagramMap:
@@ -136,9 +144,10 @@ def _parse_map(text: str, source, target) -> DiagramMap:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, output) and writes nothing; the
+# output is a JSON object, a list of text lines, or one DOT string
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     obj = _load(args.file)
     kind = args.kind
     if kind == "auto":
@@ -172,81 +181,62 @@ def cmd_validate(args) -> int:
             f"{len(value.fragment)} fragment elements over a "
             f"{len(value.lattice.carrier)}-element carrier"
         )
-    print(f"OK: {kind} ({summary})")
-    return OK_EXIT
+    return OK_EXIT, [f"OK: {kind} ({summary})"]
 
 
-def _classify_output(d, fmt: str) -> None:
-    kinds = relation_table(d)
+def _classify_output(d, fmt: str):
     if fmt == "json":
-        _emit_json(kind_table_to_json(d.labels, kinds))
-    elif fmt == "dot":
-        print(diagram_to_dot(d), end="")
-    else:
-        print(_table_text(d.labels, kinds))
+        return kind_table_to_json(d.labels, d.kind_table)
+    if fmt == "dot":
+        return diagram_to_dot(d)
+    return _table_lines(d.labels, d.kind_table)
 
 
-def cmd_classify(args) -> int:
-    d = diagram_from_json(_load(args.file))
-    _classify_output(d, args.format)
-    return OK_EXIT
+def cmd_classify(args):
+    return OK_EXIT, _classify_output(diagram_from_json(_load(args.file)), args.format)
 
 
-def cmd_canonical_square(args) -> int:
+def cmd_canonical_square(args):
     square = canonical_square()
     if args.format == "json":
-        payload = diagram_to_json(square)
-        payload["relations"] = kind_table_to_json(square.labels, relation_table(square))["kinds"]
-        _emit_json(payload)
-    else:
-        _classify_output(square, args.format)
-    return OK_EXIT
+        relations = kind_table_to_json(square.labels, square.kind_table)["kinds"]
+        return OK_EXIT, dict(diagram_to_json(square), relations=relations)
+    return OK_EXIT, _classify_output(square, args.format)
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args):
     d1 = diagram_from_json(_load(args.file1))
     d2 = diagram_from_json(_load(args.file2))
     if args.map is not None:
         m = _parse_map(args.map, d1, d2)
         if not m.is_bijection:
             raise CliError("--map is not a bijection", BAD_INPUT)
-        ok = check_iso(m)
-        if args.format == "json":
-            _emit_json({"isomorphism": ok})
-        else:
-            print(f"isomorphism: {'yes' if ok else 'no'}")
-        return OK_EXIT if ok else PROPERTY_FAILED
+        return _verdict("isomorphism", check_iso(m), args.format)
     count = count_isos(d1, d2)
     isos = list(islice(iter_isos(d1, d2), ISO_LISTING_CAP))
+    code = OK_EXIT if count else PROPERTY_FAILED
     if args.format == "json":
         payload = {"count": count, "isomorphisms": [list(m.mapping) for m in isos]}
         if count > len(isos):
             payload["listed"] = len(isos)
-        _emit_json(payload)
-    else:
-        print(f"isomorphisms found: {count}")
-        for m in isos:
-            arrows = ", ".join(
-                f"{d1.labels[i]} -> {d2.labels[j]}" for i, j in enumerate(m.mapping)
-            )
-            print(f"  {arrows}")
-        if count > len(isos):
-            print(f"listed {len(isos)} of {count}")
-    return OK_EXIT if count else PROPERTY_FAILED
+        return code, payload
+    lines = [f"isomorphisms found: {count}"]
+    for m in isos:
+        lines.append("  " + ", ".join(
+            f"{d1.labels[i]} -> {d2.labels[j]}" for i, j in enumerate(m.mapping)
+        ))
+    if count > len(isos):
+        lines.append(f"listed {len(isos)} of {count}")
+    return code, lines
 
 
-def cmd_info(args) -> int:
+def cmd_info(args):
     d1 = diagram_from_json(_load(args.file1))
     d2 = diagram_from_json(_load(args.file2))
-    ok = check_infomorphism(_parse_map(args.map, d1, d2))
-    if args.format == "json":
-        _emit_json({"infomorphism": ok})
-    else:
-        print(f"infomorphism: {'yes' if ok else 'no'}")
-    return OK_EXIT if ok else PROPERTY_FAILED
+    return _verdict("infomorphism", check_infomorphism(_parse_map(args.map, d1, d2)), args.format)
 
 
-def cmd_ifrel_check(args) -> int:
+def cmd_ifrel_check(args):
     relation = relation_from_json(_load(args.file))
     flags = {
         "reflexive": is_reflexive(relation),
@@ -254,41 +244,37 @@ def cmd_ifrel_check(args) -> int:
         "transitive": is_transitive(relation),
     }
     flags["partial_order"] = all(flags.values())
-    _emit_flags(flags, args.format)
-    return OK_EXIT if flags["partial_order"] else PROPERTY_FAILED
+    return (OK_EXIT if flags["partial_order"] else PROPERTY_FAILED), _flags(flags, args.format)
 
 
-def cmd_lattice_check(args) -> int:
+def cmd_lattice_check(args):
     relation = relation_from_json(_load(args.file))
     cert = certify(relation)
-    _emit_flags(certification_to_json(cert), args.format)
-    return OK_EXIT if cert.if_boolean_algebra else PROPERTY_FAILED
+    code = OK_EXIT if cert.if_boolean_algebra else PROPERTY_FAILED
+    return code, _flags(certification_to_json(cert), args.format)
 
 
-def cmd_contradiction(args) -> int:
+def cmd_contradiction(args):
     first = fuzzy_set_from_json(_load(args.file_a))
     second = fuzzy_set_from_json(_load(args.file_b)) if args.file_b else first
     ops = OperatorChoice(args.negation, args.implication)
     result = contradiction_degree(first, second, ops)
     if args.format == "json":
-        _emit_json(
-            {
-                "implication": args.implication,
-                "negation": args.negation,
-                "pointwise": {x: str(v) for x, v in result.pointwise.items()},
-                "scalar": str(result.scalar),
-            }
-        )
-    else:
-        print(f"operators: implication={args.implication}, negation={args.negation}")
-        print("pointwise:")
-        for x, v in result.pointwise.items():
-            print(f"  {x}: {v}")
-        print(f"scalar (min): {result.scalar}")
-    return OK_EXIT
+        return OK_EXIT, {
+            "implication": args.implication,
+            "negation": args.negation,
+            "pointwise": {x: str(v) for x, v in result.pointwise.items()},
+            "scalar": str(result.scalar),
+        }
+    return OK_EXIT, [
+        f"operators: implication={args.implication}, negation={args.negation}",
+        "pointwise:",
+        *(f"  {x}: {v}" for x, v in result.pointwise.items()),
+        f"scalar (min): {result.scalar}",
+    ]
 
 
-def cmd_fuzzy_classify(args) -> int:
+def cmd_fuzzy_classify(args):
     obj = _load(args.file)
     if args.tolerance is not None:
         if not isinstance(obj, dict):
@@ -303,68 +289,49 @@ def cmd_fuzzy_classify(args) -> int:
         if fuzzy_bi_implication(d, d.fragment[i], d.fragment[j])
     ]
     if args.format == "json":
-        _emit_json(
-            {
-                "tolerance": str(d.tolerance),
-                "labels": list(d.labels),
-                "kinds": [[cell.kind.value for cell in row] for row in table],
-                "annotations": [
-                    [{"mu": str(cell.annotation.mu), "nu": str(cell.annotation.nu)} for cell in row]
-                    for row in table
-                ],
-                "bi_implication_within_tolerance": [list(p) for p in bi_pairs],
-            }
-        )
-    else:
-        print(f"tolerance: {d.tolerance}")
-        rendered = tuple(
-            tuple(f"{cell.kind.value}({cell.annotation.mu},{cell.annotation.nu})" for cell in row)
-            for row in table
-        )
-        print(_table_text(d.labels, rendered))
-        if bi_pairs:
-            print("fuzzy bi-implication within tolerance:")
-            for x, y in bi_pairs:
-                print(f"  {x} ~ {y}")
-        else:
-            print("fuzzy bi-implication within tolerance: none")
-    return OK_EXIT
+        return OK_EXIT, {
+            "tolerance": str(d.tolerance),
+            **kind_table_to_json(d.labels, d.kind_table),
+            "annotations": [[ifpair_to_json(cell.annotation) for cell in row] for row in table],
+            "bi_implication_within_tolerance": [list(p) for p in bi_pairs],
+        }
+    rendered = [
+        [f"{cell.kind.value}({cell.annotation.mu},{cell.annotation.nu})" for cell in row]
+        for row in table
+    ]
+    lines = [f"tolerance: {d.tolerance}", *_table_lines(d.labels, rendered)]
+    lines.append("fuzzy bi-implication within tolerance:" + ("" if bi_pairs else " none"))
+    lines += (f"  {x} ~ {y}" for x, y in bi_pairs)
+    return OK_EXIT, lines
 
 
-def cmd_category_check(args) -> int:
+def cmd_category_check(args):
     rng = random.Random(args.seed)
     triples = composable_infomorphism_triples(rng, args.triples)
     maps = [m for triple in triples for m in triple]
     report = verify_category_laws(maps)
+    code = OK_EXIT if report.all_pass else PROPERTY_FAILED
     if args.format == "json":
-        _emit_json(
-            {
-                "seed": args.seed,
-                "triples": args.triples,
-                "laws": [
-                    {"law": r.law, "holds": r.holds, "checked": r.checked} for r in report.laws
-                ],
-                "excluded_maps": list(report.excluded),
-                "all_pass": report.all_pass,
-            }
-        )
-    else:
-        ok, fail = _marks()
-        print(f"seed: {args.seed}, composable triples: {args.triples}")
-        for r in report.laws:
-            print(f"{r.law:<24} {ok if r.holds else fail}  ({r.checked} checks)")
-        if report.excluded:
-            print(f"maps excluded (not infomorphisms): {list(report.excluded)}")
-    return OK_EXIT if report.all_pass else PROPERTY_FAILED
+        return code, {
+            "seed": args.seed,
+            "triples": args.triples,
+            "laws": [{"law": r.law, "holds": r.holds, "checked": r.checked} for r in report.laws],
+            "excluded_maps": list(report.excluded),
+            "all_pass": report.all_pass,
+        }
+    ok, fail = _marks()
+    lines = [f"seed: {args.seed}, composable triples: {args.triples}"]
+    lines += (f"{r.law:<24} {ok if r.holds else fail}  ({r.checked} checks)" for r in report.laws)
+    if report.excluded:
+        lines.append(f"maps excluded (not infomorphisms): {list(report.excluded)}")
+    return code, lines
 
 
-def cmd_dot(args) -> int:
+def cmd_dot(args):
     obj = _load(args.file)
     if isinstance(obj, dict) and "lattice" in obj:
-        print(fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj)), end="")
-    else:
-        print(diagram_to_dot(diagram_from_json(obj)), end="")
-    return OK_EXIT
+        return OK_EXIT, fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj))
+    return OK_EXIT, diagram_to_dot(diagram_from_json(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +416,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render(output) -> str:
+    """The text of a command's output: JSON, one line per row, or DOT as is."""
+    if isinstance(output, dict):
+        return json.dumps(output, indent=2) + "\n"
+    if isinstance(output, str):
+        return output
+    return "".join(line + "\n" for line in output)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, output = args.fn(args)
+        sys.stdout.write(_render(output))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: keep the verdict, and send what is still
+        # buffered to nowhere so that the exit-time flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (CliError, ValueError) as exc:
         # malformed input exits 2; any other refusal of well-formed input
-        # (not an order, over a size limit, mismatched domains) exits 1
+        # (not an order, over a size limit, mismatched domains, a stdout
+        # that cannot encode the output) exits 1
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code
         return BAD_INPUT if isinstance(exc, InputFormatError) else PROPERTY_FAILED
-
+    return code
 
 if __name__ == "__main__":
     raise SystemExit(main())

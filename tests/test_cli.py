@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -424,6 +425,63 @@ class TestDot:
         assert "CD (1,0)" in out
 
 
+class _CountingWriter:
+    """Stands in for stdout and keeps every ``write`` call's text."""
+
+    def __init__(self, stream):
+        self.stream, self.writes = stream, []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.stream.write(text)
+
+    def flush(self):
+        self.stream.flush()
+
+
+def run_once(capsys, *argv):
+    """``run``, asserting that stdout was written in exactly one call."""
+    real = sys.stdout
+    sys.stdout = counter = _CountingWriter(real)
+    try:
+        result = run(capsys, *argv)
+    finally:
+        sys.stdout = real
+    assert len(counter.writes) == 1
+    return result
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (file under tests/golden/, argv with the input names of ``golden_inputs``,
+# exit code): each subcommand in each of its formats
+GOLDEN_CASES = [
+    ("validate", ["validate", "SQUARE"], 0),
+    ("classify", ["classify", "SQUARE"], 0),
+    ("classify-json", ["classify", "SQUARE", "--format", "json"], 0),
+    ("canonical-square", ["canonical-square"], 0),
+    ("canonical-square-json", ["canonical-square", "--format", "json"], 0),
+    ("canonical-square-dot", ["canonical-square", "--format", "dot"], 0),
+    ("iso", ["iso", "SQUARE", "SQUARE"], 0),
+    ("iso-json", ["iso", "SQUARE", "SQUARE", "--format", "json"], 0),
+    ("iso-none", ["iso", "SQUARE", "SINGLE"], 1),
+    ("iso-map", ["iso", "SQUARE", "SQUARE", "--map", "1,0,3,2"], 0),
+    ("iso-map-json", ["iso", "SQUARE", "SQUARE", "--map", "2,1,0,3", "--format", "json"], 1),
+    ("info", ["info", "SQUARE", "SQUARE", "--map", "0,0,0,0"], 1),
+    ("info-json", ["info", "SQUARE", "SQUARE", "--map", "0,1,2,3", "--format", "json"], 0),
+    ("ifrel-check", ["ifrel-check", "IDENTITY"], 0),
+    ("ifrel-check-json", ["ifrel-check", "IDENTITY", "--format", "json"], 0),
+    ("lattice-check", ["lattice-check", "IDENTITY"], 1),
+    ("lattice-check-json", ["lattice-check", "IDENTITY", "--format", "json"], 1),
+    ("contradiction", ["contradiction", "A", "B"], 0),
+    ("contradiction-json", ["contradiction", "A", "B", "--format", "json"], 0),
+    ("fuzzy-classify-json", ["fuzzy-classify", "FUZZY", "--format", "json"], 0),
+    ("category-check", ["category-check", "--seed", "3", "--triples", "6"], 0),
+    ("category-check-json",
+     ["category-check", "--seed", "3", "--triples", "6", "--format", "json"], 0),
+]
+
+
 class TestGoldenOutput:
     @pytest.fixture
     def fuzzy_square_file(self, tmp_path):
@@ -431,15 +489,37 @@ class TestGoldenOutput:
         path.write_text(json.dumps(fuzzy_diagram_to_json(embed_diagram(canonical_square()))))
         return str(path)
 
+    @pytest.fixture
+    def golden_inputs(self, tmp_path, square_file, fuzzy_square_file, identity_relation_file):
+        files = {"SQUARE": square_file, "FUZZY": fuzzy_square_file,
+                 "IDENTITY": identity_relation_file}
+        for name, payload in [
+            ("SINGLE", {"algebra": {"atoms": ["a", "b"]}, "fragment": [["a"]]}),
+            ("A", {"x": "1/2", "y": "1/3", "z": "1"}),
+            ("B", {"x": "1/4", "y": "1", "z": "0"}),
+        ]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            files[name] = str(path)
+        return files
+
     @pytest.mark.parametrize("argv", [("dot",), ("classify", "--format", "dot")])
     def test_square_dot(self, square_file, capsys, argv):
-        assert run(capsys, argv[0], square_file, *argv[1:]) == (0, SQUARE_DOT, "")
+        assert run_once(capsys, argv[0], square_file, *argv[1:]) == (0, SQUARE_DOT, "")
 
     def test_fuzzy_square_dot(self, fuzzy_square_file, capsys):
-        assert run(capsys, "dot", fuzzy_square_file) == (0, FUZZY_SQUARE_DOT, "")
+        assert run_once(capsys, "dot", fuzzy_square_file) == (0, FUZZY_SQUARE_DOT, "")
 
     def test_fuzzy_square_table(self, fuzzy_square_file, capsys):
-        assert run(capsys, "fuzzy-classify", fuzzy_square_file) == (0, FUZZY_SQUARE_TABLE, "")
+        assert run_once(capsys, "fuzzy-classify", fuzzy_square_file) == (
+            0, FUZZY_SQUARE_TABLE, "")
+
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_every_command_and_format(self, golden_inputs, capsys, monkeypatch, name, argv, code):
+        monkeypatch.delenv("SQUAREOP_ASCII", raising=False)
+        expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        argv = [golden_inputs.get(a, a) for a in argv]
+        assert run_once(capsys, *argv) == (code, expected, "")
 
     def test_right_implication_draws_reversed_arrow(self):
         b2 = BooleanAlgebra.of(2)
@@ -545,17 +625,55 @@ class TestErrorsBecomeExitCodes:
         assert err.startswith(f"error: {path}: ")
 
 
+def _squareop(*argv, encoding="utf-8", stdout=subprocess.PIPE):
+    """Run ``python -m squareop.cli`` as a real process: only one writes
+    stdout through a real encoder and a real pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]),
+               PYTHONIOENCODING=encoding)
+    env.pop("SQUAREOP_ASCII", None)
+    return subprocess.run([sys.executable, "-m", "squareop.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
 def test_lone_surrogate_is_exit_2_before_any_output(tmp_path):
-    """A string JSON can hold but UTF-8 output cannot; only a real process
-    writes stdout through a strict UTF-8 encoder, so this runs one."""
+    """A string JSON can hold but UTF-8 output cannot."""
     path = tmp_path / "surrogate.json"
     path.write_text('{"\\ud800": "1/2"}', encoding="ascii")
-    env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]),
-               PYTHONIOENCODING="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "squareop.cli", "contradiction", str(path)],
-        capture_output=True, env=env, timeout=60,
-    )
+    proc = _squareop("contradiction", str(path))
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.startswith(b"error: $: string cannot be encoded as UTF-8")
     assert b"Traceback" not in proc.stderr
+
+
+def test_unencodable_output_is_one_error_and_no_stdout(tmp_path):
+    """A stdout that cannot encode a label gets none of the output."""
+    doc = fuzzy_diagram_to_json(embed_diagram(canonical_square()))
+    doc["labels"] = [f"\u00e9{i}" for i in range(4)]
+    path = tmp_path / "accents.json"
+    path.write_text(json.dumps(doc))
+    proc = _squareop("fuzzy-classify", str(path), encoding="ascii")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("atoms", [0, 16], ids=["canonical-square", "classify-200"])
+def test_closed_pipe_keeps_exit_code_and_stderr_empty(tmp_path, atoms):
+    """The reader is gone before anything is written.  The canonical square
+    fits stdout's buffer, so the flush meets the closed pipe; the relation
+    table of 200 elements on 16 atoms does not, so the write does."""
+    argv = ["canonical-square"]
+    if atoms:
+        rng = random.Random(7)
+        names = [chr(ord("a") + i) for i in range(atoms)]
+        fragment = [[a for i, a in enumerate(names) if bits >> i & 1]
+                    for bits in rng.sample(range(1 << atoms), 200)]
+        path = tmp_path / "table200.json"
+        path.write_text(json.dumps({"algebra": {"atoms": names}, "fragment": fragment}))
+        argv = ["classify", str(path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _squareop(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
