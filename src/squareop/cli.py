@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from itertools import islice
 
@@ -30,10 +29,6 @@ from .diagram import (
     count_isos,
     iter_isos,
 )
-from .dot import diagram_to_dot, fuzzy_diagram_to_dot
-from .fuzzydiagram import fuzzy_bi_implication, fuzzy_relation_table, verify_category_laws
-from .ifrel import is_perfectly_antisymmetric, is_reflexive, is_transitive
-from .iflattice import certify
 from .jsonio import (
     InputFormatError,
     algebra_from_json,
@@ -46,7 +41,6 @@ from .jsonio import (
     kind_table_to_json,
     relation_from_json,
 )
-from .sampling import composable_infomorphism_triples
 
 OK_EXIT, PROPERTY_FAILED, BAD_INPUT = 0, 1, 2
 
@@ -188,6 +182,8 @@ def _classify_output(d, fmt: str):
     if fmt == "json":
         return kind_table_to_json(d.labels, d.kind_table)
     if fmt == "dot":
+        from .dot import diagram_to_dot
+
         return diagram_to_dot(d)
     return _table_lines(d.labels, d.kind_table)
 
@@ -237,6 +233,8 @@ def cmd_info(args):
 
 
 def cmd_ifrel_check(args):
+    from .ifrel import is_perfectly_antisymmetric, is_reflexive, is_transitive
+
     relation = relation_from_json(_load(args.file))
     flags = {
         "reflexive": is_reflexive(relation),
@@ -248,6 +246,8 @@ def cmd_ifrel_check(args):
 
 
 def cmd_lattice_check(args):
+    from .iflattice import certify
+
     relation = relation_from_json(_load(args.file))
     cert = certify(relation)
     code = OK_EXIT if cert.if_boolean_algebra else PROPERTY_FAILED
@@ -275,6 +275,8 @@ def cmd_contradiction(args):
 
 
 def cmd_fuzzy_classify(args):
+    from .fuzzydiagram import fuzzy_bi_implication, fuzzy_relation_table
+
     obj = _load(args.file)
     if args.tolerance is not None:
         if not isinstance(obj, dict):
@@ -306,6 +308,11 @@ def cmd_fuzzy_classify(args):
 
 
 def cmd_category_check(args):
+    import random
+
+    from .fuzzydiagram import verify_category_laws
+    from .sampling import composable_infomorphism_triples
+
     rng = random.Random(args.seed)
     triples = composable_infomorphism_triples(rng, args.triples)
     maps = [m for triple in triples for m in triple]
@@ -328,6 +335,8 @@ def cmd_category_check(args):
 
 
 def cmd_dot(args):
+    from .dot import diagram_to_dot, fuzzy_diagram_to_dot
+
     obj = _load(args.file)
     if isinstance(obj, dict) and "lattice" in obj:
         return OK_EXIT, fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj))

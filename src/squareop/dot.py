@@ -8,10 +8,12 @@ Output is deterministic: nodes in fragment order, edges by index pair.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .diagram import Diagram, RelationKind
-from .fuzzydiagram import FuzzyAristotelianDiagram, fuzzy_relation_table
+
+if TYPE_CHECKING:
+    from .fuzzydiagram import FuzzyAristotelianDiagram
 
 _EDGE_STYLE = {
     RelationKind.CD: "style=dashed, dir=none",
@@ -48,5 +50,7 @@ def diagram_to_dot(d: Diagram) -> str:
 
 
 def fuzzy_diagram_to_dot(d: FuzzyAristotelianDiagram) -> str:
+    from .fuzzydiagram import fuzzy_relation_table
+
     table = fuzzy_relation_table(d)
     return _render(d, lambda i, j: " ({0.mu},{0.nu})".format(table[i][j].annotation))

@@ -21,15 +21,19 @@ Schemas:
 from __future__ import annotations
 
 from dataclasses import asdict
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .algebra import BooleanAlgebra, Element
-from .degrees import FuzzySet, IFPair, degree
+from .degrees import FuzzySet, degree
 from .diagram import Diagram
-from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram
-from .ifrel import DegreeSumError, IFRelation
-from .iflattice import IFLattice, LatticeCertification
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .degrees import IFPair
+    from .fuzzydiagram import FuzzyAristotelianDiagram
+    from .iflattice import IFLattice, LatticeCertification
+    from .ifrel import IFRelation
 
 
 class InputFormatError(ValueError):
@@ -175,6 +179,8 @@ def relation_to_json(r: IFRelation, key: str = "set") -> dict:
     }
 
 def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
+    from .ifrel import DegreeSumError, IFRelation
+
     record = _expect_object(obj, path)
     if "set" in record:
         key = "set"
@@ -238,6 +244,9 @@ def fuzzy_diagram_to_json(d: FuzzyAristotelianDiagram) -> dict:
     }
 
 def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagram:
+    from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram
+    from .iflattice import IFLattice
+
     record = _expect_object(obj, path)
     for key in ("lattice", "fragment"):
         _expect(key in record, f'missing key "{key}"', path)

@@ -15,9 +15,9 @@ from squareop.cli import ISO_LISTING_CAP, main
 from squareop.diagram import Diagram, canonical_square
 from squareop.dot import diagram_to_dot, fuzzy_diagram_to_dot
 from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
-from squareop.iflattice import IFLattice
+from squareop.iflattice import IFLattice, powerset_lattice
 from squareop.ifrel import IFRelation
-from squareop.jsonio import diagram_to_json, fuzzy_diagram_to_json
+from squareop.jsonio import diagram_to_json, fuzzy_diagram_to_json, lattice_to_json
 
 # exact stdout for the canonical square and its fuzzy embedding
 SQUARE_DOT = """\
@@ -625,14 +625,53 @@ class TestErrorsBecomeExitCodes:
         assert err.startswith(f"error: {path}: ")
 
 
-def _squareop(*argv, encoding="utf-8", stdout=subprocess.PIPE):
-    """Run ``python -m squareop.cli`` as a real process: only one writes
-    stdout through a real encoder and a real pipe."""
+def _python(*args, encoding="utf-8", stdout=subprocess.PIPE):
+    """Run a fresh interpreter on the ``squareop`` under test."""
     env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]),
                PYTHONIOENCODING=encoding)
     env.pop("SQUAREOP_ASCII", None)
-    return subprocess.run([sys.executable, "-m", "squareop.cli", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def _squareop(*argv, **kwargs):
+    """Run ``python -m squareop.cli`` as a real process: only one writes
+    stdout through a real encoder and a real pipe."""
+    return _python("-m", "squareop.cli", *argv, **kwargs)
+
+
+FUZZY_LAYERS = ("ifrel", "iflattice", "fuzzydiagram", "sampling")
+
+
+def _layers_loaded(*argv) -> set[str]:
+    """The ``squareop`` modules a fresh interpreter holds after ``cli.main(argv)``."""
+    proc = _python("-c", "import sys; from squareop.cli import main; code = main(sys.argv[1:]); "
+                   "print(*sys.modules, file=sys.stderr); sys.exit(code)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".", 1)[1] for m in proc.stderr.decode().split() if m.startswith("squareop.")}
+
+
+@pytest.mark.parametrize("command, dot", [
+    ("canonical-square", False),
+    ("canonical-square --format json", False),
+    ("canonical-square --format dot", True),
+    ("classify {square}", False),
+    ("classify {square} --format dot", True),
+    ("iso {square} {square}", False),
+    ("info {square} {square} --map 0,1,2,3", False),
+    ("validate {square}", False),
+])
+def test_crisp_commands_load_no_fuzzy_layer(square_file, command, dot):
+    """Each subcommand imports only the layers it uses; DOT output alone loads ``dot``."""
+    loaded = _layers_loaded(*command.format(square=square_file).split())
+    assert loaded.isdisjoint(FUZZY_LAYERS), loaded
+    assert ("dot" in loaded) == dot
+
+
+def test_lattice_check_loads_no_sampler(tmp_path):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(lattice_to_json(powerset_lattice(BooleanAlgebra.of(2)))))
+    assert "sampling" not in _layers_loaded("lattice-check", str(path))
 
 
 def test_lone_surrogate_is_exit_2_before_any_output(tmp_path):
