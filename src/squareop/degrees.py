@@ -80,8 +80,7 @@ def parse_degree(text: str) -> Fraction:
     return degree(text)
 
 
-def format_degree(d: Fraction) -> str:
-    return str(d)
+format_degree = Fraction.__str__
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +195,7 @@ class IFPair:
         return f"IFPair({self.mu}, {self.nu})"
 
 
-def if_complement(p: IFPair) -> IFPair:
-    return p.complement()
+if_complement = IFPair.complement
 
 
 FULL = IFPair(ONE, ZERO)
@@ -228,11 +226,11 @@ class FuzzySet:
 
     @classmethod
     def from_mapping(cls, membership: Mapping[str, int | str | Fraction]) -> "FuzzySet":
-        return cls(tuple(membership), tuple(degree(v) for v in membership.values()))
+        return cls(tuple(membership), tuple(membership.values()))
 
     @classmethod
     def constant(cls, domain: tuple[str, ...], value: int | str | Fraction) -> "FuzzySet":
-        return cls(domain, tuple(degree(value) for _ in domain))
+        return cls(domain, (value,) * len(domain))
 
     def __getitem__(self, label: str) -> Fraction:
         try:

@@ -93,7 +93,7 @@ class FuzzyAristotelianDiagram:
     def _classifications(self) -> tuple[tuple[FuzzyClassification, ...], ...]:
         """Every fragment pair's kind with the degrees of its witnessing edge."""
         lat = self.lattice
-        pair, neg = lat.order.pair, lat._unique_complement
+        pair, neg = lat.order.pair, lat._structure.neg
         index = tuple(map(lat.index, self.fragment))
         table = []
         for x, kinds in zip(index, self.kind_table):
@@ -104,9 +104,9 @@ class FuzzyAristotelianDiagram:
                 elif kind is RelationKind.RI:
                     edge = pair(y, x)
                 elif kind is RelationKind.CD or kind is RelationKind.C:
-                    edge = pair(x, neg(y))
+                    edge = pair(x, neg[y])
                 elif kind is RelationKind.SC:
-                    edge = pair(neg(y), x)
+                    edge = pair(neg[y], x)
                 else:
                     edge = FULL
                 row.append(FuzzyClassification(kind, edge))
@@ -173,10 +173,9 @@ def check_if_homomorphism(
     s, t = source._structure, target._structure
     if f[s.bottom] != t.bottom or f[s.top] != t.top:
         return False
+    if any(f[s.neg[x]] != t.neg[fx] for x, fx in enumerate(f)):
+        return False
     size = len(source.carrier)
-    for x in range(size):
-        if f[source._unique_complement(x)] != target._unique_complement(f[x]):
-            return False
     for x, y in product(range(size), repeat=2):
         if f[s.lub[x][y]] != t.lub[f[x]][f[y]]:
             return False

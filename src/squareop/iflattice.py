@@ -12,8 +12,9 @@ a genuine crisp partial order:
 * transitivity from nu(x,z) <= max(nu(x,y), nu(y,z)) < 1 along chains.
 
 Least upper bounds, greatest lower bounds, distributivity, complementation
-and the De Morgan laws are all computed in this derived order; a complemented
-distributive fuzzy lattice certifies as a fuzzy Boolean algebra.
+and negation (the unique complement, checked against both De Morgan laws)
+are all computed in this derived order; a complemented distributive fuzzy
+lattice certifies as a fuzzy Boolean algebra.
 
 The derived order is stored as one bitmask per row (the up-set of each
 element).  Its lattice structure depends on those rows alone, never on the
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import attrgetter
 
 from .algebra import BooleanAlgebra, element_label
 from .diagram import RelationKind, _kind_table
@@ -63,7 +65,8 @@ class _OrderStructure:
     or None per pair.  ``bottom``, ``top``, ``is_distributive``,
     ``complements`` (the complement indices of each element) and ``atoms``
     (the bitmask of the join-irreducibles below each element) are None
-    unless ``is_lattice``.
+    unless ``is_lattice``; ``neg`` (each element's unique complement) is
+    None unless the lattice is also distributive and complemented.
     """
 
     up: tuple[int, ...]
@@ -75,6 +78,7 @@ class _OrderStructure:
     is_distributive: bool | None
     complements: tuple[tuple[int, ...], ...] | None
     atoms: tuple[int, ...] | None
+    neg: tuple[int, ...] | None
 
     @cached_property
     def kind_table(self) -> tuple[tuple[RelationKind, ...], ...]:
@@ -85,6 +89,29 @@ class _OrderStructure:
         (Birkhoff), so the atom masks classify exactly as the order does.
         """
         return _kind_table(self.atoms, self.atoms[self.top])
+
+
+def _negation(
+    lub: BoundTable, glb: BoundTable, complements: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """The negation of a complemented distributive lattice: the unique
+    complement of each element, which satisfies both De Morgan laws over
+    every pair.  Both are theorems, so a failure, reported at carrier
+    indices, raises LawViolationError.
+    """
+    for i, comps in enumerate(complements):
+        if len(comps) != 1:
+            raise LawViolationError(
+                f"element {i} has {len(comps)} complements in a distributive lattice"
+            )
+    neg = tuple(comps[0] for comps in complements)
+    for a, b in product(range(len(neg)), repeat=2):
+        if neg[lub[a][b]] != glb[neg[a]][neg[b]] or neg[glb[a][b]] != lub[neg[a]][neg[b]]:
+            raise LawViolationError(
+                f"De Morgan failure at ({a}, {b}): neg(a v b) != neg(a) ^ neg(b) "
+                "or neg(a ^ b) != neg(a) v neg(b)"
+            )
+    return neg
 
 
 @lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
@@ -103,7 +130,7 @@ def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
     lub = tuple(tuple(by_up.get(a & b) for b in up) for a in up)
     glb = tuple(tuple(by_down.get(a & b) for b in down) for a in down)
     if any(None in row for row in lub + glb):
-        return _OrderStructure(up, lub, glb, False, None, None, None, None, None)
+        return _OrderStructure(up, lub, glb, False, None, None, None, None, None, None)
     full = (1 << size) - 1
     if full not in by_up:
         raise LawViolationError("finite lattice without a bottom element")
@@ -125,7 +152,8 @@ def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
         for i in range(size)
     )
     atoms = tuple(d & irreducible for d in down)
-    return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements, atoms)
+    neg = _negation(lub, glb, complements) if distributive and all(complements) else None
+    return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements, atoms, neg)
 
 
 @dataclass(frozen=True)
@@ -220,13 +248,15 @@ class IFLattice:
         return all(self._lattice().complements)
 
     def check_de_morgan(self) -> bool:
-        """Verify both De Morgan laws over all pairs.
+        """Whether both De Morgan laws hold over all pairs: always True.
 
         Requires a complemented distributive lattice (complements are then
-        unique, so negation is well defined).  The laws provably hold there,
-        so this always returns True on valid inputs; a counterexample means
-        the implementation itself is broken and raises LawViolationError.
+        unique, so negation is well defined).  The laws provably hold there;
+        the shared structure checked them over every pair when it built the
+        negation, and a counterexample would have raised LawViolationError.
         """
+        if self.is_if_boolean_algebra:
+            return True
         failed = []
         if not self.is_lattice:
             failed.append("lattice")
@@ -235,53 +265,25 @@ class IFLattice:
                 failed.append("complemented")
             if not self.is_distributive:
                 failed.append("distributive")
-        if failed:
-            raise PreconditionError(
-                "check_de_morgan preconditions unmet: " + ", ".join(failed), tuple(failed)
-            )
-        s, carrier = self._structure, self.carrier
-        neg = []
-        for x, comps in zip(carrier, s.complements):
-            if len(comps) != 1:
-                raise LawViolationError(
-                    f"element {x!r} has {len(comps)} complements in a distributive lattice"
-                )
-            neg.append(comps[0])
-        for a, b in product(range(len(carrier)), repeat=2):
-            if neg[s.lub[a][b]] != s.glb[neg[a]][neg[b]]:
-                raise LawViolationError(
-                    f"De Morgan failure at ({carrier[a]!r}, {carrier[b]!r}): "
-                    f"neg(a v b) != neg(a) ^ neg(b)"
-                )
-            if neg[s.glb[a][b]] != s.lub[neg[a]][neg[b]]:
-                raise LawViolationError(
-                    f"De Morgan failure at ({carrier[a]!r}, {carrier[b]!r}): "
-                    f"neg(a ^ b) != neg(a) v neg(b)"
-                )
-        return True
+        raise PreconditionError(
+            "check_de_morgan preconditions unmet: " + ", ".join(failed), tuple(failed)
+        )
 
     @property
     def is_if_boolean_algebra(self) -> bool:
         """Lattice, distributive and complemented."""
-        if not self.is_lattice:
-            return False
-        return self.is_distributive and self.is_complemented
+        return self._structure.neg is not None
 
-    def _unique_complement(self, i: int) -> int:
-        comps = self._lattice().complements[i]
+    def unique_complement(self, x: str) -> str:
+        comps = self.find_complements(x)
         if len(comps) != 1:
             raise PreconditionError(
-                f"element {self.carrier[i]!r} does not have a unique complement",
-                ("unique-complement",),
+                f"element {x!r} does not have a unique complement", ("unique-complement",)
             )
         return comps[0]
 
-    def unique_complement(self, x: str) -> str:
-        return self.carrier[self._unique_complement(self.index(x))]
 
-
-def underlying_order(lattice: IFLattice) -> tuple[tuple[bool, ...], ...]:
-    return lattice.underlying_order
+underlying_order = attrgetter("underlying_order")
 
 
 @dataclass(frozen=True)
@@ -321,16 +323,10 @@ def certify(order: IFRelation) -> LatticeCertification:
             reflexive, antisymmetric, transitive, True, False, None, None,
             "preconditions-unmet", False,
         )
-    distributive = lattice.is_distributive
-    complemented = lattice.is_complemented
-    if distributive and complemented:
-        lattice.check_de_morgan()
-        de_morgan = "holds"
-    else:
-        de_morgan = "preconditions-unmet"
+    boolean = lattice.is_if_boolean_algebra
     return LatticeCertification(
-        reflexive, antisymmetric, transitive, True, True, distributive, complemented,
-        de_morgan, lattice.is_if_boolean_algebra,
+        reflexive, antisymmetric, transitive, True, True, lattice.is_distributive,
+        lattice.is_complemented, "holds" if boolean else "preconditions-unmet", boolean,
     )
 
 

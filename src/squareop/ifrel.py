@@ -141,7 +141,7 @@ class IFRelation:
         cls, source: tuple[str, ...], target: tuple[str, ...], mu: Matrix, nu: Matrix
     ) -> "IFRelation":
         """Internal constructor for degrees the caller already validated
-        (``jsonio``, the samplers): no second ``degree`` pass."""
+        (``jsonio``): no second ``degree`` pass."""
         _check_labels(source, "source")
         _check_labels(target, "target")
         r = object.__new__(cls)

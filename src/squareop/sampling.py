@@ -9,21 +9,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import BooleanAlgebra
-from .degrees import ONE, ZERO, IFPair
+from .degrees import IFPair
 from .diagram import Diagram, DiagramMap, check_infomorphism
 from .fuzzydiagram import FuzzyAristotelianDiagram
 from .ifrel import IFRelation, transitive_closure
 from .iflattice import IFLattice
 
 DEFAULT_MAX_DENOMINATOR = 12
-
-
-def random_degree(rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fraction:
-    q = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, q), q)
 
 
 def _random_cell(
@@ -86,17 +82,19 @@ def random_fuzzy_powerset_order(
         algebra = BooleanAlgebra.of(algebra)
     crisp = powerset_lattice(algebra)
     labels = crisp.carrier
-    n = len(labels)
-    mu = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    nu = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and i & j == i:  # powerset carrier indices are the bitmasks
-                a, p, b, q = _random_cell(rng, max_denominator, strict=True)
-                mu[i][j], nu[i][j] = Fraction(a, p), Fraction(b, q)
-    relation = IFRelation._from_degrees(
-        labels, labels, tuple(map(tuple, mu)), tuple(map(tuple, nu))
-    )
+    size = len(labels)
+    cells = {
+        (i, j): _random_cell(rng, max_denominator, strict=True)
+        for i in range(size)
+        for j in range(size)
+        if i != j and i & j == i  # powerset carrier indices are the bitmasks
+    }
+    den = lcm(*(d for _, p, _, q in cells.values() for d in (p, q)))
+    m = [[den * (i == j) for j in range(size)] for i in range(size)]
+    n = [[den * (i != j) for j in range(size)] for i in range(size)]
+    for (i, j), (a, p, b, q) in cells.items():
+        m[i][j], n[i][j] = a * (den // p), b * (den // q)
+    relation = IFRelation._build(labels, labels, den, tuple(map(tuple, m)), tuple(map(tuple, n)))
     return IFLattice(transitive_closure(relation))
 
 

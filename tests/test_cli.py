@@ -479,6 +479,8 @@ GOLDEN_CASES = [
     ("category-check", ["category-check", "--seed", "3", "--triples", "6"], 0),
     ("category-check-json",
      ["category-check", "--seed", "3", "--triples", "6", "--format", "json"], 0),
+    ("category-check-100-json",
+     ["category-check", "--seed", "3", "--triples", "100", "--format", "json"], 0),
 ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from squareop import degrees
 from squareop.degrees import (
     DomainMismatchError,
     FuzzySet,
@@ -213,6 +214,27 @@ class TestContradictionDegree:
         # J(9/10, 1/2) = 1/2 but J(1/2, 1/10) = 1/10
         assert contradiction_degree(a, b, GOD).scalar == Fraction(1, 2)
         assert contradiction_degree(b, a, GOD).scalar == Fraction(1, 10)
+
+
+class TestFuzzySetValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FuzzySet.from_mapping({"x": "1/2", "y": "1/3", "z": "1"}),
+            lambda: FuzzySet.constant(("x", "y", "z"), "1/2"),
+        ],
+        ids=["from_mapping", "constant"],
+    )
+    def test_each_degree_is_validated_once(self, monkeypatch, make):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return degree(value)
+
+        monkeypatch.setattr(degrees, "degree", counted)
+        make()
+        assert len(calls) == 3
 
 
 class TestSelfContradiction:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from squareop.fuzzydiagram import (
     verify_category_laws,
 )
 from squareop.ifrel import IFRelation
-from squareop.iflattice import powerset_lattice
+from squareop.iflattice import IFLattice, LawViolationError, powerset_lattice
 from squareop.sampling import (
     _permute_lattice,
     composable_infomorphism_triples,
@@ -54,8 +55,6 @@ def two_point_lattice(mu, nu):
         ((F(1), mu), (F(0), F(1))),
         ((F(0), nu), (F(1), F(0))),
     )
-    from squareop.iflattice import IFLattice
-
     return IFLattice(r)
 
 
@@ -154,7 +153,6 @@ class TestClassifyFuzzy:
 
     def test_non_boolean_lattice_rejected(self):
         from squareop.ifrel import identity_relation
-        from squareop.iflattice import IFLattice
 
         antichain = IFLattice(identity_relation(("x", "y")))
         with pytest.raises(ValueError, match="Boolean"):
@@ -346,6 +344,18 @@ class TestIFHomomorphism:
         # sending a to just {a} breaks top preservation
         g = {"{}": "{}", "{a}": "{a}"}
         assert not check_if_homomorphism(small, big, g)
+
+    def test_corrupted_meet_table_is_a_law_violation(self):
+        lat = powerset_lattice(BooleanAlgebra.of(2))
+        s = lat._structure
+        glb = [list(row) for row in s.glb]
+        glb[1][2] = glb[2][1] = 3  # {a} ^ {b} read as {a,b}; carrier indices are bitmasks
+        broken = IFLattice(lat.order)  # a fresh instance, so the shared one stays intact
+        broken.__dict__["_structure"] = dataclasses.replace(s, glb=tuple(map(tuple, glb)))
+        identity = {x: x for x in lat.carrier}
+        with pytest.raises(LawViolationError, match=r"meet preservation failed at \('\{a\}', '\{b\}'\)"):
+            check_if_homomorphism(broken, lat, identity)
+        assert check_if_homomorphism(lat, lat, identity)
 
 
 class TestCategoryLaws:

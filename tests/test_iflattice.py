@@ -14,7 +14,9 @@ from squareop.ifrel import IFRelation, identity_relation, transitive_closure
 from squareop.iflattice import (
     _STRUCTURE_CACHE_SIZE,
     IFLattice,
+    LawViolationError,
     PreconditionError,
+    _negation,
     _order_structure,
     certify,
     powerset_lattice,
@@ -253,6 +255,30 @@ class TestDeMorgan:
         assert "lattice" in exc.value.failed
 
 
+class TestNegationSelfCheck:
+    """The shared structure builds negation once per Boolean order and
+    checks it against two theorems; a table breaking either is a fault."""
+
+    def test_powerset_negation_is_set_complement(self):
+        s = powerset_lattice(BooleanAlgebra.of(3))._structure
+        # powerset carrier indices are the bitmasks
+        assert s.neg == tuple(0b111 ^ i for i in range(8))
+        assert _negation(s.lub, s.glb, s.complements) == s.neg
+
+    def test_two_complements_for_one_element_raise(self):
+        s = powerset_lattice(BooleanAlgebra.of(2))._structure
+        complements = (s.complements[0], (1, 2), *s.complements[2:])
+        with pytest.raises(LawViolationError, match="element 1 has 2 complements"):
+            _negation(s.lub, s.glb, complements)
+
+    def test_swapped_negation_breaks_de_morgan(self):
+        s = powerset_lattice(BooleanAlgebra.of(3))._structure
+        # neg({}) = {b,c} and neg({a}) = {a,b,c}: each a single entry
+        complements = ((0b110,), (0b111,), *s.complements[2:])
+        with pytest.raises(LawViolationError, match="De Morgan failure"):
+            _negation(s.lub, s.glb, complements)
+
+
 class TestBooleanAlgebraCertification:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_embedded_powerset_is_if_boolean_algebra(self, n):
@@ -377,11 +403,30 @@ def assert_matches_reference(lat):
         for prop in ("bottom", "top", "is_distributive", "is_complemented"):
             with pytest.raises(PreconditionError):
                 getattr(lat, prop)
+        assert not lat.is_if_boolean_algebra
+        with pytest.raises(PreconditionError) as exc:
+            lat.check_de_morgan()
+        assert exc.value.failed == ("lattice",)
         return
     assert (lat.bottom, lat.top) == (labels[ref.bottom], labels[ref.top])
     assert lat.is_distributive == ref.distributive
     for x, comps in zip(labels, ref.complements):
         assert lat.find_complements(x) == tuple(map(label, comps))
+    complemented = all(ref.complements)
+    boolean = ref.distributive and complemented
+    assert lat.is_if_boolean_algebra == boolean
+    if boolean:
+        assert lat.check_de_morgan() is True
+        for x, (comp,) in zip(labels, ref.complements):
+            assert lat.unique_complement(x) == labels[comp]
+    else:
+        with pytest.raises(PreconditionError) as exc:
+            lat.check_de_morgan()
+        assert exc.value.failed == tuple(
+            name
+            for name, holds in (("complemented", complemented), ("distributive", ref.distributive))
+            if not holds
+        )
 
 
 @st.composite
