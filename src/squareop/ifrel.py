@@ -18,16 +18,17 @@ after every operation, so equal relations have equal int forms; ``==`` and
 comparisons, so it runs on plain ints; operands with different denominators
 are first rescaled to the lcm of the two.  ``mu`` and ``nu`` remain
 ``Fraction`` matrices at the API surface: the public constructor keeps the
-degrees it validated, and a relation computed here builds them on first
-access.
+degrees it validated, while a relation read from JSON or computed here
+stores ints only and builds them on first read.
 
 Validation happens once, at the input boundary: the public constructor (and
 ``jsonio``, which reports JSON paths) checks labels, shapes and every degree
 through ``degrees.degree``.  Relations computed from other relations
 (composites, closures, samples, relabelings) skip that pass and check only
-the int invariant 0 <= m, 0 <= n, m + n <= den.  ``_from_degrees`` turns
-degree matrices its caller validated into the int form and ``_build`` takes
-ints; both are internal.
+the int invariant 0 <= m, 0 <= n, m + n <= den.  ``_from_cells`` builds the
+int form from degree-string matrices and the degree of each distinct string,
+which ``jsonio`` parsed once per document; ``_build`` takes ints.  Both are
+internal.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .degrees import IFPair, degree
 
@@ -110,42 +111,45 @@ class IFRelation:
         for name, matrix in (("mu", mu), ("nu", nu)):
             if len(matrix) != rows or any(len(r) != cols for r in matrix):
                 raise ValueError(f"{name} matrix must be {rows}x{cols}")
-        self._store(source, target, mu, nu)
-
-    def _store(
-        self, source: tuple[str, ...], target: tuple[str, ...], mu: Matrix, nu: Matrix
-    ) -> None:
-        """Set the int form of validated degree matrices of the right shape.
-
-        Raises ``DegreeSumError`` at the first cell with mu + nu > 1.  The
-        lcm of reduced denominators is already canonical.
-        """
         den = lcm(*(d.denominator for row in chain(mu, nu) for d in row))
 
         def ints(matrix: Matrix) -> IntMatrix:
             return tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in matrix)
 
-        m, n = ints(mu), ints(nu)
+        self._store(source, target, den, ints(mu), ints(nu))
+        self.__dict__.update(mu=mu, nu=nu)
+
+    def _store(
+        self, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
+    ) -> None:
+        """Set the int form of validated degrees over their canonical ``den``.
+
+        Raises ``DegreeSumError`` at the first cell with mu + nu > 1.
+        """
         cell = _bad_cell(den, m, n)
         if cell is not None:
             i, j = cell
-            raise DegreeSumError(
-                f"mu + nu > 1 at cell ({i}, {j}): "
-                f"{mu[i][j]} + {nu[i][j]} = {mu[i][j] + nu[i][j]}",
-                cell,
-            )
-        self.__dict__.update(source=source, target=target, den=den, m=m, n=n, mu=mu, nu=nu)
+            a, b = Fraction(m[i][j], den), Fraction(n[i][j], den)
+            raise DegreeSumError(f"mu + nu > 1 at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
+        self.__dict__.update(source=source, target=target, den=den, m=m, n=n)
 
     @classmethod
-    def _from_degrees(
-        cls, source: tuple[str, ...], target: tuple[str, ...], mu: Matrix, nu: Matrix
+    def _from_cells(
+        cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence[str]],
+        nu_cells: Sequence[Sequence[str]], degree_of: Mapping[str, Fraction],
     ) -> "IFRelation":
-        """Internal constructor for degrees the caller already validated
-        (``jsonio``): no second ``degree`` pass."""
+        """Internal constructor for ``jsonio``: degree-string matrices it
+        checked for shape, and the validated degree of each distinct string
+        (no other key, so the lcm of their denominators is canonical).
+        Stores ints only; ``mu`` and ``nu`` are built on first read."""
         _check_labels(source, "source")
         _check_labels(target, "target")
+        den = lcm(*{d.denominator for d in degree_of.values()})
+        ints = {text: d.numerator * (den // d.denominator) for text, d in degree_of.items()}
+        m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
+        n = tuple(tuple(map(ints.__getitem__, row)) for row in nu_cells)
         r = object.__new__(cls)
-        r._store(source, target, mu, nu)
+        r._store(source, target, den, m, n)
         return r
 
     @classmethod

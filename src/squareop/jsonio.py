@@ -4,7 +4,9 @@ Degrees travel as strings ("1/2", "0.3"); elements as sorted atom-label
 arrays.  Parsers validate shape and invariants and raise InputFormatError
 with the offending JSON path, which the CLI maps to exit code 2.  Degree
 strings are bounded as ``degrees.degree`` documents (length, exponent and
-denominator caps) before any arithmetic.
+denominator caps) before any arithmetic.  Each distinct degree string is
+parsed once per document, and an error still names the first cell that
+holds the bad string.
 
 Schemas:
 
@@ -72,12 +74,18 @@ def _expect_str(obj: Any, path: str) -> str:
     return obj
 
 
-def _parse_degree(obj: Any, path: str) -> Fraction:
+def _degree(obj: Any, path: str, memo: dict[str, Fraction]) -> Fraction:
+    """The degree a JSON string names.  ``memo`` holds the strings of the
+    document parsed so far; only successes enter it, so a bad string raises
+    at the first cell that holds it, and a non-string never matches."""
+    if type(obj) is str and obj in memo:
+        return memo[obj]
     text = _expect_str(obj, path)
     try:
-        return degree(text)
+        d = memo[text] = degree(text)
     except ValueError as exc:
         raise InputFormatError(str(exc), path) from None
+    return d
 
 
 def _string_list(obj: Any, path: str) -> tuple[str, ...]:
@@ -158,15 +166,20 @@ def kind_table_to_json(labels: tuple[str, ...], table) -> dict:
 # ---------------------------------------------------------------------------
 # relations / lattices
 
-def _degree_matrix(obj: Any, rows: int, cols: int, path: str) -> tuple[tuple[Fraction, ...], ...]:
+def _degree_matrix(
+    obj: Any, rows: int, cols: int, path: str, memo: dict[str, Fraction]
+) -> list[list[str]]:
+    """``obj`` checked as a rows x cols matrix of degree strings, each of
+    which ``memo`` then maps to its degree."""
     matrix = _expect_list(obj, path)
     _expect(len(matrix) == rows, f"expected {rows} rows, got {len(matrix)}", path)
-    out = []
     for i, row in enumerate(matrix):
-        row = _expect_list(row, f"{path}[{i}]")
+        _expect_list(row, f"{path}[{i}]")
         _expect(len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]")
-        out.append(tuple(_parse_degree(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
-    return tuple(out)
+        for j, cell in enumerate(row):
+            if type(cell) is not str or cell not in memo:  # the path only for a new string
+                _degree(cell, f"{path}[{i}][{j}]", memo)
+    return matrix
 
 
 def relation_to_json(r: IFRelation, key: str = "set") -> dict:
@@ -193,14 +206,15 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
     for mkey in ("mu", "nu"):
         _expect(mkey in record, f'missing key "{mkey}"', path)
     n = len(labels)
-    mu = _degree_matrix(record["mu"], n, n, f"{path}.mu")
-    nu = _degree_matrix(record["nu"], n, n, f"{path}.nu")
+    memo: dict[str, Fraction] = {}
+    mu = _degree_matrix(record["mu"], n, n, f"{path}.mu", memo)
+    nu = _degree_matrix(record["nu"], n, n, f"{path}.nu", memo)
     try:
-        return IFRelation._from_degrees(labels, labels, mu, nu)
+        return IFRelation._from_cells(labels, labels, mu, nu, memo)
     except DegreeSumError as exc:
         i, j = exc.cell
         raise InputFormatError(
-            f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"{path}.mu[{i}][{j}]"
+            f"mu + nu = {memo[mu[i][j]] + memo[nu[i][j]]} exceeds 1", f"{path}.mu[{i}][{j}]"
         ) from None
     except ValueError as exc:  # duplicate or blank labels
         raise InputFormatError(str(exc), f"{path}.{key}") from None
@@ -225,9 +239,10 @@ def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
     _expect(len(record) >= 1, "fuzzy set must not be empty", path)
     domain = []
     values = []
+    memo: dict[str, Fraction] = {}
     for label, value in record.items():
         domain.append(_expect_str(label, path))
-        values.append(_parse_degree(value, f"{path}.{label}"))
+        values.append(_degree(value, f"{path}.{label}", memo))
     return FuzzySet(tuple(domain), tuple(values))
 
 
@@ -257,7 +272,7 @@ def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagr
         labels = _string_list(record["labels"], f"{path}.labels")
     tolerance = DEFAULT_TOLERANCE
     if "tolerance" in record:
-        tolerance = _parse_degree(record["tolerance"], f"{path}.tolerance")
+        tolerance = _degree(record["tolerance"], f"{path}.tolerance", {})
     _expect(len(fragment) >= 1, "fragment must not be empty", f"{path}.fragment")
     _expect(len(set(fragment)) == len(fragment), "fragment elements must be distinct",
             f"{path}.fragment")

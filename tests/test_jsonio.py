@@ -1,16 +1,19 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra
 from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
-from squareop.ifrel import identity_relation
+from squareop.ifrel import DegreeSumError, IFRelation, identity_relation
 from squareop.jsonio import (
     InputFormatError,
+    _expect_str,
     algebra_from_json,
     algebra_to_json,
     diagram_from_json,
@@ -23,7 +26,7 @@ from squareop.jsonio import (
     relation_from_json,
     relation_to_json,
 )
-from squareop.degrees import FuzzySet
+from squareop.degrees import FuzzySet, degree
 from squareop.sampling import random_fuzzy_powerset_order
 
 
@@ -123,12 +126,31 @@ class TestDiagnostics:
             relation_from_json(payload)
         assert exc.value.path == "$.nu[0][1]"
 
-    def test_parsed_relation_keeps_parsed_degrees(self):
+    def test_parsed_relation_builds_degrees_on_first_read(self):
         payload = {"set": ["x", "y"], "mu": [["1", "2/4"], ["0", "1"]],
                    "nu": [["0", "0.25"], ["1", "0"]]}
         r = relation_from_json(payload)
         assert r.den == 4 and r.m == ((4, 2), (0, 4)) and r.n == ((0, 1), (4, 0))
+        assert "mu" not in r.__dict__ and "nu" not in r.__dict__
         assert r.mu[0][1] == Fraction(1, 2) and r.nu[0][1] == Fraction(1, 4)
+        assert "mu" in r.__dict__ and "nu" in r.__dict__
+
+    def test_repeated_bad_string_is_reported_at_its_first_cell(self):
+        payload = {"set": ["x", "y"], "mu": [["1", "0"], ["3/2", "3/2"]],
+                   "nu": [["3/2", "1"], ["3/2", "0"]]}
+        with pytest.raises(InputFormatError) as exc:
+            relation_from_json(payload)
+        assert str(exc.value) == "$.mu[1][0]: degree 3/2 outside [0, 1]"
+
+    @pytest.mark.parametrize("cell, kind", [(1, "int"), (True, "bool"), (0, "int")])
+    def test_non_string_after_its_parsed_spelling(self, cell, kind):
+        # "1" and "0" are parsed before the cell; 1, True and 0 equal them as
+        # dict keys but are still rejected at their own path
+        payload = {"set": ["x", "y"], "mu": [["1", cell], ["0", "1"]],
+                   "nu": [["0", "0"], ["0", "0"]]}
+        with pytest.raises(InputFormatError) as exc:
+            relation_from_json(payload)
+        assert str(exc.value) == f"$.mu[0][1]: expected a string, got {kind}"
 
     def test_wrong_matrix_shape(self):
         payload = {"set": ["x", "y"], "mu": [["1"]], "nu": [["0"]]}
@@ -247,3 +269,131 @@ class TestFragmentParsing:
         d = diagram_from_json(doc)
         assert d.fragment[0] == d.algebra.from_atoms(["a", "c"])
         assert d.fragment[0].bits == 0b101
+
+
+def _reference_relation(doc):
+    """``relation_from_json`` on a well-shaped ``doc`` as a cell-by-cell
+    parse: every cell checked and parsed on its own, then the public
+    constructor; errors carry the same messages and JSON paths."""
+    labels = tuple(doc["set"])
+    matrices = []
+    for key in ("mu", "nu"):
+        matrix = []
+        for i, row in enumerate(doc[key]):
+            cells = []
+            for j, cell in enumerate(row):
+                path = f"$.{key}[{i}][{j}]"
+                text = _expect_str(cell, path)
+                try:
+                    cells.append(degree(text))
+                except ValueError as exc:
+                    raise InputFormatError(str(exc), path) from None
+            matrix.append(cells)
+        matrices.append(matrix)
+    mu, nu = matrices
+    try:
+        return IFRelation(labels, labels, mu, nu)
+    except DegreeSumError as exc:
+        i, j = exc.cell
+        raise InputFormatError(
+            f"mu + nu = {mu[i][j] + nu[i][j]} exceeds 1", f"$.mu[{i}][{j}]"
+        ) from None
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc), None
+    except InputFormatError as exc:
+        return None, (str(exc), exc.path)
+
+
+_DENOMINATORS = [1, 2, 3, 4, 5, 8, 10, 12, 1000, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def _degree_texts(draw, upper=Fraction(1)):
+    """One of several spellings of a degree in [0, upper]."""
+    q = draw(st.sampled_from(_DENOMINATORS))
+    f = Fraction(draw(st.integers(0, int(upper * q))), q)
+    k = draw(st.integers(1, 3))
+    forms = [str(f), f"{f.numerator * k}/{f.denominator * k}"]
+    if 10**6 % f.denominator == 0:
+        forms += [str(Decimal(f.numerator) / Decimal(f.denominator)),
+                  f"{f.numerator * 10**6 // f.denominator}e-6"]
+    pad = st.sampled_from(["", " ", "\t", "\n"])
+    return draw(pad) + draw(st.sampled_from(forms)) + draw(pad)
+
+
+@st.composite
+def _pairs(draw):
+    mu = draw(_degree_texts())
+    return mu, draw(_degree_texts(1 - Fraction(mu.strip())))
+
+
+def _matrix(n, cell):
+    return st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _valid_documents(draw):
+    """Square documents whose cells repeat a few (mu, nu) spellings."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(_pairs(), min_size=1, max_size=4))
+    cells = draw(_matrix(n, st.sampled_from(pool)))
+    return {"set": [f"x{i}" for i in range(n)],
+            "mu": [[mu for mu, _ in row] for row in cells],
+            "nu": [[nu for _, nu in row] for row in cells]}
+
+
+_BAD_CELLS = [
+    1, 0, True, False, None, [], ["1"], {}, 0.5,  # not strings
+    LONE, "1/2" + LONE,  # lone surrogates
+    "0." + "0" * 120, " " * 100 + "1",  # over 100 characters
+    "1e-101", "1E+101", "1e-" + "\uff11" * 3,  # exponents beyond +-100
+    "1/" + str(2**128 + 1), "1/" + str(2**130),  # denominators over 2**128
+    "3/2", "-1/4", "2", "1.5",  # outside [0, 1]
+    "", "abc", "1/0", "0x1",  # not degrees
+]
+_SUMMING_CELLS = ["0", "1", "1/2", "2/4", "3/4", "0.75", "1/3", "2/3", "1/1000000007"]
+
+
+@st.composite
+def _mixed_documents(draw):
+    """Square documents whose cells repeat a few values, valid and invalid;
+    valid pools may still break mu + nu <= 1."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(_BAD_CELLS + _SUMMING_CELLS), min_size=1, max_size=5))
+    return {"set": [f"x{i}" for i in range(n)],
+            "mu": draw(_matrix(n, st.sampled_from(pool))),
+            "nu": draw(_matrix(n, st.sampled_from(pool)))}
+
+
+class TestAgainstCellByCellParse:
+    """Each distinct degree string is parsed once per document; the result
+    and the first error are those of parsing every cell on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_documents())
+    def test_valid_documents(self, doc):
+        r = relation_from_json(doc)
+        ref = _reference_relation(doc)
+        assert r == ref
+        assert (r.den, r.m, r.n) == (ref.den, ref.m, ref.n)
+        assert r.mu == ref.mu and r.nu == ref.nu
+        assert json.dumps(relation_to_json(r)) == json.dumps(relation_to_json(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_documents())
+    def test_first_error_is_the_same(self, doc):
+        got, error = _outcome(relation_from_json, doc)
+        want, ref_error = _outcome(_reference_relation, doc)
+        assert error == ref_error
+        assert got == want
+
+    @pytest.mark.parametrize("bad", _BAD_CELLS)
+    def test_each_bad_cell_repeated(self, bad):
+        doc = {"set": ["x", "y"], "mu": [["1", bad], [bad, "1"]],
+               "nu": [["0", bad], ["1", bad]]}
+        error = _outcome(relation_from_json, doc)[1]
+        assert error is not None and error[1] == "$.mu[0][1]"
+        assert error == _outcome(_reference_relation, doc)[1]
