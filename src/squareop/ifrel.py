@@ -21,6 +21,14 @@ are first rescaled to the lcm of the two.  ``mu`` and ``nu`` remain
 degrees it validated, while a relation read from JSON or computed here
 stores ints only and builds them on first read.
 
+Support lemma: under the cell invariant a cell with nu = 1 has mu = 0.  So
+a chain x -> y -> z with nu = 1 on either edge yields
+min(mu(x,y), mu(y,z)) = 0 and max(nu(x,y), nu(y,z)) = 1: the degree (0, 1),
+which every cell contains.  Such a chain can neither break transitivity nor
+improve a composite or closure cell.  The three max-min kernels
+(``compose``, the transitivity check and ``transitive_closure``) therefore
+walk only the support of each row, the columns where nu < 1.
+
 Validation happens once, at the input boundary: the public constructor (and
 ``jsonio``, which reports JSON paths) checks labels, shapes and every degree
 through ``degrees.degree``.  Relations computed from other relations
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -76,6 +84,11 @@ def _fractions(ints: IntMatrix, den: int) -> Matrix:
     # one Fraction per distinct value
     made = {k: Fraction(k, den) for k in set(chain.from_iterable(ints))}
     return tuple(tuple(map(made.__getitem__, row)) for row in ints)
+
+
+def _support(n_row: Sequence[int], den: int) -> list[int]:
+    """The columns j of a row where nu < 1, that is n_row[j] < den."""
+    return [j for j, b in enumerate(n_row) if b < den]
 
 
 def _scaled(matrix: IntMatrix, factor: int) -> IntMatrix:
@@ -241,12 +254,19 @@ class IFRelation:
 
     @cached_property
     def _transitive(self) -> bool:
-        m_cols, n_cols = tuple(zip(*self.m)), tuple(zip(*self.n))
-        return all(
-            max(map(min, m_row, m_col)) <= mu and min(map(max, n_row, n_col)) >= nu
-            for m_row, n_row in zip(self.m, self.n)
-            for m_col, n_col, mu, nu in zip(m_cols, n_cols, m_row, n_row)
-        )
+        # the support lemma (module docstring): only chains with nu < 1 on
+        # both edges are checked
+        m, n = self.m, self.n
+        support = [_support(row, self.den) for row in n]
+        for m_x, n_x, support_x in zip(m, n, support):
+            for y in support_x:
+                a, b = m_x[y], n_x[y]
+                m_y, n_y = m[y], n[y]
+                for z in support[y]:
+                    c, d = m_y[z], n_y[z]
+                    if (a if a < c else c) > m_x[z] or (b if b > d else d) < n_x[z]:
+                        return False
+        return True
 
 
 def identity_relation(labels: Sequence[str]) -> IFRelation:
@@ -275,10 +295,27 @@ def compose(r: IFRelation, s: IFRelation) -> IFRelation:
     if r.target != s.source:
         raise ValueError("relations are not composable: r.target differs from s.source")
     den, rm, rn, sm, sn = _common(r, s)
-    sm_cols, sn_cols = tuple(zip(*sm)), tuple(zip(*sn))
-    m = tuple(tuple(max(map(min, row, col)) for col in sm_cols) for row in rm)
-    n = tuple(tuple(min(map(max, row, col)) for col in sn_cols) for row in rn)
-    return IFRelation._build(r.source, s.target, den, m, n)
+    cols = len(s.target)
+    m, n = [], []
+    # nu < 1 is tested in place: listing the supports of s first costs a pass
+    # over s, which a composite with few rows of r does not earn back
+    for m_x, n_x in zip(rm, rn):
+        m_row, n_row = [0] * cols, [den] * cols
+        for y, b in enumerate(n_x):
+            if b < den:
+                a, m_y = m_x[y], sm[y]
+                for z, d in enumerate(sn[y]):
+                    if d < den:
+                        c = m_y[z]
+                        c = a if a < c else c
+                        if c > m_row[z]:
+                            m_row[z] = c
+                        d = b if b > d else d
+                        if d < n_row[z]:
+                            n_row[z] = d
+        m.append(tuple(m_row))
+        n.append(tuple(n_row))
+    return IFRelation._build(r.source, s.target, den, tuple(m), tuple(n))
 
 
 def is_reflexive(r: IFRelation) -> bool:
@@ -298,7 +335,12 @@ def is_perfectly_antisymmetric(r: IFRelation) -> bool:
 
 
 def is_transitive(r: IFRelation) -> bool:
-    """R o R is contained in R: composite mu never exceeds, nu never falls below."""
+    """R o R is contained in R: composite mu never exceeds, nu never falls below.
+
+    Only chains x -> y -> z with nu(x,y) < 1 and nu(y,z) < 1 are compared:
+    by the support lemma in the module docstring any other chain composes
+    to (0, 1), which every cell contains.
+    """
     r._require_square("is_transitive")
     return r._transitive
 
@@ -316,6 +358,11 @@ def transitive_closure(r: IFRelation) -> IFRelation:
     holds its best value over chains whose inner points lie in 0..k.  Useful
     for repairing randomly sampled orders: the closure never extends the
     support beyond pairs already reachable by chains.
+
+    By the support lemma in the module docstring, step k updates only the
+    rows i with nu(i,k) < 1, and in them only the columns of row k's
+    support.  That support is read at step k, since earlier steps may have
+    grown it.
     """
     r._require_square("transitive_closure")
     den = r.den
@@ -323,12 +370,18 @@ def transitive_closure(r: IFRelation) -> IFRelation:
     n = [list(row) for row in r.n]
     # row k and column k do not change in step k, so rows update in place
     for k, (m_k, n_k) in enumerate(zip(m, n)):
+        support_k = _support(n_k, den)
         for m_i, n_i in zip(m, n):
             a, b = m_i[k], n_i[k]
-            if a:
-                m_i[:] = map(max, m_i, map(min, repeat(a), m_k))
             if b < den:
-                n_i[:] = map(min, n_i, map(max, repeat(b), n_k))
+                for j in support_k:
+                    c, d = m_k[j], n_k[j]
+                    c = a if a < c else c
+                    if c > m_i[j]:
+                        m_i[j] = c
+                    d = b if b > d else d
+                    if d < n_i[j]:
+                        n_i[j] = d
     return IFRelation._build(
         r.source, r.target, den, tuple(map(tuple, m)), tuple(map(tuple, n))
     )
