@@ -13,78 +13,7 @@ Public names are imported from their modules on first use (PEP 562), so
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraMismatchError",
-    "AnnotatedSquare",
-    "AxiomReport",
-    "BooleanAlgebra",
-    "CategoryLawReport",
-    "ContradictionDegrees",
-    "Degree",
-    "Diagram",
-    "DiagramMap",
-    "DomainMismatchError",
-    "Element",
-    "FuzzyAristotelianDiagram",
-    "FuzzyClassification",
-    "FuzzyDiagramMap",
-    "FuzzySet",
-    "IFLattice",
-    "IFPair",
-    "IFRelation",
-    "INFORMATIVITY_COVERS",
-    "LatticeCertification",
-    "LawCheck",
-    "LawViolationError",
-    "OperatorChoice",
-    "PreconditionError",
-    "RelationKind",
-    "annotate_square",
-    "canonical_square",
-    "certify",
-    "check_fuzzy_infomorphism",
-    "check_if_homomorphism",
-    "check_infomorphism",
-    "check_iso",
-    "classify",
-    "classify_fuzzy",
-    "compose",
-    "compose_fuzzy_maps",
-    "compose_maps",
-    "contradiction_degree",
-    "count_isos",
-    "degree",
-    "element_label",
-    "embed_diagram",
-    "find_isos",
-    "format_degree",
-    "fuzzy_bi_implication",
-    "fuzzy_relation_table",
-    "identity_relation",
-    "if_complement",
-    "implies",
-    "informativity_leq",
-    "informativity_order",
-    "is_partial_order",
-    "is_perfectly_antisymmetric",
-    "is_reflexive",
-    "is_transitive",
-    "iter_isos",
-    "negate",
-    "parse_degree",
-    "powerset_lattice",
-    "register_implication",
-    "register_negation",
-    "relation_table",
-    "self_contradiction_degree",
-    "transitive_closure",
-    "underlying_order",
-    "verify_axioms",
-    "verify_category_laws",
-]
-
-
-#: the module that defines each name in ``__all__``
+#: the module that defines each public name; ``__all__`` is its sorted keys
 _MODULE_OF = {
     name: module
     for module, names in {
@@ -122,6 +51,7 @@ _MODULE_OF = {
     }.items()
     for name in names
 }
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -262,7 +262,7 @@ def contradiction_degree(
             f"fuzzy sets have different domains: {a.domain} vs {b.domain}"
         )
     pointwise = {
-        x: implies(ops, a[x], negate(ops, b[x])) for x in a.domain
+        x: implies(ops, p, negate(ops, q)) for x, p, q in zip(a.domain, a.values, b.values)
     }
     return ContradictionDegrees(min(pointwise.values()), pointwise)
 

@@ -35,6 +35,7 @@ from .diagram import RelationKind, _kind_table
 from .ifrel import IFRelation, is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
 
 MAX_CARRIER = 16
+_TOO_LARGE = f"carrier larger than {MAX_CARRIER} refused: lattice checks are exhaustive"
 
 
 class PreconditionError(ValueError):
@@ -166,9 +167,7 @@ class IFLattice:
         if not self.order.is_square:
             raise ValueError("the order must be a square relation on the carrier")
         if len(self.order.source) > MAX_CARRIER:
-            raise ValueError(
-                f"carrier larger than {MAX_CARRIER} refused: lattice checks are exhaustive"
-            )
+            raise ValueError(_TOO_LARGE)
         if not is_partial_order(self.order):
             raise ValueError("the relation is not an intuitionistic fuzzy partial order")
 
@@ -307,7 +306,13 @@ class LatticeCertification:
 
 
 def certify(order: IFRelation) -> LatticeCertification:
-    """Run the full certification ladder on a square relation."""
+    """Run the full certification ladder on a square relation.
+
+    A carrier over ``MAX_CARRIER`` is refused before any order check, so an
+    order and a non-order of the same size get the same answer.
+    """
+    if len(order.source) > MAX_CARRIER:
+        raise ValueError(_TOO_LARGE)
     reflexive = is_reflexive(order)
     antisymmetric = is_perfectly_antisymmetric(order)
     transitive = is_transitive(order)

@@ -17,9 +17,8 @@ after every operation, so equal relations have equal int forms; ``==`` and
 ``hash`` use them.  Every operation here takes only min, max and
 comparisons, so it runs on plain ints; operands with different denominators
 are first rescaled to the lcm of the two.  ``mu`` and ``nu`` remain
-``Fraction`` matrices at the API surface: the public constructor keeps the
-degrees it validated, while a relation read from JSON or computed here
-stores ints only and builds them on first read.
+``Fraction`` matrices at the API surface; every relation stores ints only
+and builds them on first read.
 
 Support lemma: under the cell invariant a cell with nu = 1 has mu = 0.  So
 a chain x -> y -> z with nu = 1 on either edge yields
@@ -32,8 +31,9 @@ walk only the support of each row, the columns where nu < 1.
 Validation happens once, at the input boundary: the public constructor (and
 ``jsonio``, which reports JSON paths) checks labels, shapes and every degree
 through ``degrees.degree``.  Relations computed from other relations
-(composites, closures, samples, relabelings) skip that pass and check only
-the int invariant 0 <= m, 0 <= n, m + n <= den.  ``_from_cells`` builds the
+(composites, closures, samples, relabelings) skip that pass.  Every route
+ends in ``_store``, the one check of the int invariant 0 <= m, 0 <= n,
+m + n <= den, which raises ``DegreeSumError``.  ``_from_cells`` builds the
 int form from degree-string matrices and the degree of each distinct string,
 which ``jsonio`` parsed once per document; ``_build`` takes ints.  Both are
 internal.
@@ -110,7 +110,8 @@ class IFRelation:
     def __init__(
         self, source: Sequence[str], target: Sequence[str], mu: Matrix, nu: Matrix
     ) -> None:
-        # the raw arguments; __post_init__ validates them and sets the int form
+        # the raw arguments; __post_init__ validates them and replaces them
+        # by the int form
         self.__dict__.update(source=source, target=target, mu=mu, nu=nu)
         self.__post_init__()
 
@@ -118,8 +119,8 @@ class IFRelation:
         source, target = tuple(self.source), tuple(self.target)
         _check_labels(source, "source")
         _check_labels(target, "target")
-        mu = tuple(tuple(degree(v) for v in row) for row in self.mu)
-        nu = tuple(tuple(degree(v) for v in row) for row in self.nu)
+        mu = tuple(tuple(degree(v) for v in row) for row in self.__dict__.pop("mu"))
+        nu = tuple(tuple(degree(v) for v in row) for row in self.__dict__.pop("nu"))
         rows, cols = len(source), len(target)
         for name, matrix in (("mu", mu), ("nu", nu)):
             if len(matrix) != rows or any(len(r) != cols for r in matrix):
@@ -130,21 +131,24 @@ class IFRelation:
             return tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in matrix)
 
         self._store(source, target, den, ints(mu), ints(nu))
-        self.__dict__.update(mu=mu, nu=nu)
 
     def _store(
         self, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
-    ) -> None:
-        """Set the int form of validated degrees over their canonical ``den``.
+    ) -> "IFRelation":
+        """Set the int form over its canonical ``den``, and return ``self``:
+        the one check of the cell invariant.
 
-        Raises ``DegreeSumError`` at the first cell with mu + nu > 1.
+        Raises ``DegreeSumError`` at the first cell with a negative degree
+        or with mu + nu > 1.
         """
         cell = _bad_cell(den, m, n)
         if cell is not None:
             i, j = cell
             a, b = Fraction(m[i][j], den), Fraction(n[i][j], den)
-            raise DegreeSumError(f"mu + nu > 1 at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
+            what = "mu + nu > 1" if a >= 0 and b >= 0 else "negative degree"
+            raise DegreeSumError(f"{what} at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
         self.__dict__.update(source=source, target=target, den=den, m=m, n=n)
+        return self
 
     @classmethod
     def _from_cells(
@@ -153,35 +157,27 @@ class IFRelation:
     ) -> "IFRelation":
         """Internal constructor for ``jsonio``: degree-string matrices it
         checked for shape, and the validated degree of each distinct string
-        (no other key, so the lcm of their denominators is canonical).
-        Stores ints only; ``mu`` and ``nu`` are built on first read."""
+        (no other key, so the lcm of their denominators is canonical)."""
         _check_labels(source, "source")
         _check_labels(target, "target")
         den = lcm(*{d.denominator for d in degree_of.values()})
         ints = {text: d.numerator * (den // d.denominator) for text, d in degree_of.items()}
         m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
         n = tuple(tuple(map(ints.__getitem__, row)) for row in nu_cells)
-        r = object.__new__(cls)
-        r._store(source, target, den, m, n)
-        return r
+        return object.__new__(cls)._store(source, target, den, m, n)
 
     @classmethod
     def _build(
         cls, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
     ) -> "IFRelation":
-        """Internal constructor from ints: labels and shapes are trusted, the
-        int invariant is checked and ``den`` is made canonical."""
-        cell = _bad_cell(den, m, n)
-        if cell is not None:
-            raise ValueError(f"computed relation breaks mu + nu <= 1 at cell {cell}")
+        """Internal constructor from ints: labels and shapes are trusted;
+        ``den`` is made canonical, then ``_store`` checks the invariant."""
         g = gcd(den, *chain.from_iterable(m), *chain.from_iterable(n))
         if g > 1:
             den //= g
             m = tuple(tuple(x // g for x in row) for row in m)
             n = tuple(tuple(x // g for x in row) for row in n)
-        r = object.__new__(cls)
-        r.__dict__.update(source=source, target=target, den=den, m=m, n=n)
-        return r
+        return object.__new__(cls)._store(source, target, den, m, n)
 
     @cached_property
     def mu(self) -> Matrix:

@@ -22,34 +22,27 @@ from .iflattice import IFLattice
 DEFAULT_MAX_DENOMINATOR = 12
 
 
-def _random_cell(
-    rng: random.Random, max_denominator: int, strict: bool = False
-) -> tuple[int, int, int, int]:
+def _random_cell(rng: random.Random, strict: bool = False) -> tuple[int, int, int, int]:
     """Draw (a, p, b, q) for the pair (a/p, b/q), with a/p + b/q <= 1 and,
     if ``strict``, b/q < 1 (the edge stays in the derived order)."""
-    p = rng.randint(1, max_denominator)
+    p = rng.randint(1, DEFAULT_MAX_DENOMINATOR)
     a = rng.randint(0, p)
-    q = rng.randint(1, max_denominator)
+    q = rng.randint(1, DEFAULT_MAX_DENOMINATOR)
     smax = (p - a) * q // p
     if strict and a == 0:
         smax = min(smax, q - 1)
     return a, p, rng.randint(0, smax), q
 
 
-def random_if_pair(rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> IFPair:
-    a, p, b, q = _random_cell(rng, max_denominator)
+def random_if_pair(rng: random.Random) -> IFPair:
+    a, p, b, q = _random_cell(rng)
     return IFPair(Fraction(a, p), Fraction(b, q))
 
 
 def random_if_relation(
-    rng: random.Random,
-    source: Sequence[str],
-    target: Sequence[str],
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    rng: random.Random, source: Sequence[str], target: Sequence[str]
 ) -> IFRelation:
-    cells = [
-        [random_if_pair(rng, max_denominator) for _ in target] for _ in source
-    ]
+    cells = [[random_if_pair(rng) for _ in target] for _ in source]
     return IFRelation.from_pairs(tuple(source), tuple(target), cells)
 
 
@@ -63,11 +56,7 @@ def random_crisp_diagram(
     return Diagram(algebra, tuple(algebra.element(b) for b in bits))
 
 
-def random_fuzzy_powerset_order(
-    rng: random.Random,
-    algebra: BooleanAlgebra | int,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> IFLattice:
+def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
     """A random fuzzification of the subset order on a powerset carrier.
 
     Strict subset pairs get random degrees with nu < 1 (the edge survives in
@@ -84,7 +73,7 @@ def random_fuzzy_powerset_order(
     labels = crisp.carrier
     size = len(labels)
     cells = {
-        (i, j): _random_cell(rng, max_denominator, strict=True)
+        (i, j): _random_cell(rng, strict=True)
         for i in range(size)
         for j in range(size)
         if i != j and i & j == i  # powerset carrier indices are the bitmasks
@@ -99,12 +88,9 @@ def random_fuzzy_powerset_order(
 
 
 def random_fuzzy_diagram(
-    rng: random.Random,
-    max_atoms: int = 3,
-    max_fragment: int = 4,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    rng: random.Random, max_atoms: int = 3, max_fragment: int = 4
 ) -> FuzzyAristotelianDiagram:
-    lattice = random_fuzzy_powerset_order(rng, rng.randint(1, max_atoms), max_denominator)
+    lattice = random_fuzzy_powerset_order(rng, rng.randint(1, max_atoms))
     size = rng.randint(1, min(max_fragment, len(lattice.carrier)))
     fragment = tuple(
         lattice.carrier[i] for i in sorted(rng.sample(range(len(lattice.carrier)), size))
@@ -141,9 +127,7 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
     return IFLattice(relation), index_map
 
 
-def _random_step(
-    rng: random.Random, source: FuzzyAristotelianDiagram, max_denominator: int
-) -> DiagramMap:
+def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> DiagramMap:
     """One infomorphism out of ``source``: identity, inclusion, relabeling
     isomorphism, or a rejection-sampled random map."""
     kind = rng.choice(("identity", "inclusion", "permutation", "random"))
@@ -166,7 +150,7 @@ def _random_step(
         return DiagramMap(source, target, tuple(range(len(source.fragment))))
     if kind == "random":
         for _ in range(8):
-            target = random_fuzzy_diagram(rng, max_denominator=max_denominator)
+            target = random_fuzzy_diagram(rng)
             mapping = tuple(
                 rng.randrange(len(target.fragment)) for _ in source.fragment
             )
@@ -177,18 +161,14 @@ def _random_step(
 
 
 def composable_infomorphism_triples(
-    rng: random.Random,
-    count: int,
-    max_atoms: int = 3,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    rng: random.Random, count: int
 ) -> list[tuple[DiagramMap, DiagramMap, DiagramMap]]:
     """Seeded composable chains f: D1 -> D2, g: D2 -> D3, h: D3 -> D4 of
-    fuzzy infomorphisms, for exercising the category laws."""
+    fuzzy infomorphisms on 1-3 atoms, for exercising the category laws."""
     triples = []
     for _ in range(count):
-        d1 = random_fuzzy_diagram(rng, max_atoms=max_atoms, max_denominator=max_denominator)
-        f = _random_step(rng, d1, max_denominator)
-        g = _random_step(rng, f.target, max_denominator)
-        h = _random_step(rng, g.target, max_denominator)
+        f = _random_step(rng, random_fuzzy_diagram(rng))
+        g = _random_step(rng, f.target)
+        h = _random_step(rng, g.target)
         triples.append((f, g, h))
     return triples

@@ -567,6 +567,15 @@ def _discrete_relation(labels):
     }
 
 
+def _dense_relation(n):
+    """(1, 0) on the diagonal and (1/2, 1/4) elsewhere: transitive, not antisymmetric."""
+    return {
+        "set": [f"e{i}" for i in range(n)],
+        "mu": [["1" if i == j else "1/2" for j in range(n)] for i in range(n)],
+        "nu": [["0" if i == j else "1/4" for j in range(n)] for i in range(n)],
+    }
+
+
 ELEVEN_FRAGMENT = {
     "algebra": {"atoms": ["a", "b", "c", "d"]},
     "fragment": [["a"], ["b"], ["c"], ["d"], ["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
@@ -586,9 +595,11 @@ class TestErrorsBecomeExitCodes:
             (["ifrel-check", "IN"], _discrete_relation(["x", ""]), 2, "$.set"),
             (["lattice-check", "IN"], _discrete_relation([f"e{i}" for i in range(17)]), 1,
              "carrier larger than 16 refused"),
+            # not antisymmetric: refused for its size before any order check
+            (["lattice-check", "IN"], _dense_relation(17), 1, "carrier larger than 16 refused"),
         ],
         ids=["iso-11", "iso-map", "info-map", "ifrel-dup", "lattice-dup", "ifrel-blank",
-             "lattice-17"],
+             "lattice-17", "lattice-17-non-order"],
     )
     def test_refusal_without_traceback(self, tmp_path, square_file, capsys, argv, payload,
                                        code, message):
@@ -598,7 +609,7 @@ class TestErrorsBecomeExitCodes:
             path.write_text(json.dumps(payload))
         got, out, err = run(capsys, *(str(path) if a == "IN" else a for a in argv))
         assert (got, out) == (code, "")
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_duplicate_relation_labels_fail_validation(self, tmp_path, capsys):

@@ -208,6 +208,23 @@ class TestContradictionDegree:
         for ops in (KD, LUK):
             assert contradiction_degree(a, b, ops) == contradiction_degree(b, a, ops)
 
+    @given(st.lists(st.tuples(degrees_st, degrees_st), min_size=1, max_size=6))
+    def test_points_are_read_in_order_not_looked_up(self, values):
+        a = FuzzySet(tuple(f"p{i}" for i in range(len(values))), tuple(v for v, _ in values))
+        b = FuzzySet(a.domain, tuple(v for _, v in values))
+        expected = {
+            x: implies(KD, p, negate(KD, q))
+            for x, (p, q) in zip(a.domain, values)
+        }
+
+        def no_lookup(self, label):
+            raise AssertionError("a lookup by label costs a scan of the domain")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FuzzySet, "__getitem__", no_lookup)
+            result = contradiction_degree(a, b, KD)
+        assert result == (min(expected.values()), expected)
+
     def test_godel_is_not_argument_symmetric(self):
         a = FuzzySet.from_mapping({"x": "9/10"})
         b = FuzzySet.from_mapping({"x": "1/2"})

@@ -530,10 +530,23 @@ class TestIntRepresentation:
         assert closed.den == 2 and closed.m[0][2] == 1
         assert closed == oracle_closure(r)
 
-    def test_input_fractions_are_kept(self):
-        half = F(1, 2)
-        r = IFRelation(("x",), ("x",), ((half,),), ((half,),))
-        assert r.mu[0][0] is half and r.pair(0, 0).mu is half
+    def test_constructed_relation_builds_its_fractions_on_first_read(self):
+        r = IFRelation(("x", "y"), ("x", "y"), (("1", "1/2"), (0, 1)), ((0, "1/4"), (1, 0)))
+        assert "mu" not in vars(r) and "nu" not in vars(r)
+        assert (r.den, r.m, r.n) == (4, ((4, 2), (0, 4)), ((0, 1), (4, 0)))
+        assert r.mu is r.mu and r.mu == ((F(1), F(1, 2)), (F(0), F(1)))
+        assert r.nu == ((F(0), F(1, 4)), (F(1), F(0)))
+
+    def test_computed_relation_breaking_the_invariant_raises_degree_sum_error(self):
+        labels = ("x", "y")
+        with pytest.raises(DegreeSumError) as exc:
+            IFRelation._build(labels, labels, 4, ((4, 2), (0, 4)), ((0, 3), (4, 0)))
+        assert exc.value.cell == (0, 1)
+        assert str(exc.value) == "mu + nu > 1 at cell (0, 1): 1/2 + 3/4 = 5/4"
+        with pytest.raises(DegreeSumError) as exc:
+            IFRelation._build(labels, labels, 2, ((2, 0), (-1, 2)), ((0, 2), (2, 0)))
+        assert exc.value.cell == (1, 0)
+        assert str(exc.value) == "negative degree at cell (1, 0): -1/2 + 1 = 1/2"
 
     def test_relations_are_immutable(self):
         r = identity_relation(("x", "y"))
