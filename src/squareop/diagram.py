@@ -25,6 +25,7 @@ LI and CD conditions and classifies as LI).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -46,8 +47,14 @@ class RelationKind(enum.Enum):
     SC = "SC"
     UN = "Un"
 
+    # Enum's own value, __hash__ and __str__ run Python code on every read;
+    # members are singletons compared by identity, so plain attribute
+    # access and the identity hash give the same answers at C speed.
+    value = property(operator.attrgetter("_value_"))
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 IMPLICATION_KINDS = frozenset({RelationKind.BI, RelationKind.LI, RelationKind.RI})
@@ -235,11 +242,16 @@ class DiagramMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mapping, tuple):
-            object.__setattr__(self, "mapping", tuple(self.mapping))
-        if len(self.mapping) != len(self.source.fragment):
+        try:
+            mapping = tuple(map(operator.index, self.mapping))
+        except TypeError:
+            raise ValueError(
+                f"mapping target indices must be integers, got {self.mapping!r}"
+            ) from None
+        object.__setattr__(self, "mapping", mapping)
+        if len(mapping) != len(self.source.fragment):
             raise ValueError("mapping must be total on the source fragment")
-        for j in self.mapping:
+        for j in mapping:
             if not 0 <= j < len(self.target.fragment):
                 raise ValueError(f"mapping target index {j} out of range")
 
@@ -263,14 +275,17 @@ class DiagramMap:
 
     @classmethod
     def identity(cls, d: Diagram | FuzzyAristotelianDiagram) -> "DiagramMap":
-        return cls(d, d, tuple(range(len(d.fragment))))
+        return cls._trusted(d, d, tuple(range(len(d.fragment))))
 
 
 def compose_maps(first: DiagramMap, second: DiagramMap) -> DiagramMap:
     """The composite map applying ``first`` then ``second``."""
     if first.target != second.source:
         raise ValueError("maps are not composable: first.target differs from second.source")
-    return DiagramMap(first.source, second.target, tuple(second.mapping[j] for j in first.mapping))
+    # total and in range by construction: every entry is one of second's
+    return DiagramMap._trusted(
+        first.source, second.target, tuple([second.mapping[j] for j in first.mapping])
+    )
 
 
 def check_iso(m: DiagramMap) -> bool:

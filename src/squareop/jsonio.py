@@ -38,6 +38,12 @@ if TYPE_CHECKING:
     from .ifrel import IFRelation
 
 
+#: The largest diagram fragment read, checked on the raw JSON list before
+#: any element is parsed: the kind table has n² cells, and at 1 024
+#: elements ``classify``, ``dot`` and ``info`` take about a second end to end.
+MAX_FRAGMENT = 1024
+
+
 class InputFormatError(ValueError):
     """Malformed input; ``path`` points at the offending JSON field."""
 
@@ -135,8 +141,11 @@ def diagram_from_json(obj: Any, path: str = "$") -> Diagram:
     # the atom labels are validated strings, so a label found here is valid;
     # anything else goes through element_from_json for its error and path
     bit_of = {label: 1 << i for i, label in enumerate(algebra.atoms)}
+    elements = _expect_list(record["fragment"], f"{path}.fragment")
+    if len(elements) > MAX_FRAGMENT:  # well-formed but too large: a refusal, not exit 2
+        raise ValueError(f"fragment larger than {MAX_FRAGMENT} refused: kind tables are quadratic")
     fragment = []
-    for i, element in enumerate(_expect_list(record["fragment"], f"{path}.fragment")):
+    for i, element in enumerate(elements):
         try:
             if type(element) is not list:
                 raise TypeError

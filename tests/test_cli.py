@@ -583,11 +583,21 @@ ELEVEN_FRAGMENT = {
 }
 
 
+OVER_FRAGMENT_LIMIT = {  # one element over the kind-table limit, all of them duplicates
+    "algebra": {"atoms": ["a"]},
+    "fragment": [["a"]] * 1025,
+}
+
+
 class TestErrorsBecomeExitCodes:
     @pytest.mark.parametrize(
         "argv, payload, code, message",
         [
             (["iso", "IN", "IN"], ELEVEN_FRAGMENT, 1, "fragments larger than 10 are refused"),
+            *((argv, OVER_FRAGMENT_LIMIT, 1, "fragment larger than 1024 refused")
+              for argv in (["classify", "IN"], ["classify", "IN", "--format", "json"],
+                           ["validate", "IN"], ["dot", "IN"], ["iso", "IN", "IN"],
+                           ["info", "IN", "IN", "--map", "0"])),
             (["iso", "IN", "IN", "--map", "0,1,2,-1"], None, 2, "--map: "),
             (["info", "IN", "IN", "--map", "0,1,2,9"], None, 2, "--map: "),
             (["ifrel-check", "IN"], _discrete_relation(["x", "x"]), 2, "$.set"),
@@ -598,8 +608,9 @@ class TestErrorsBecomeExitCodes:
             # not antisymmetric: refused for its size before any order check
             (["lattice-check", "IN"], _dense_relation(17), 1, "carrier larger than 16 refused"),
         ],
-        ids=["iso-11", "iso-map", "info-map", "ifrel-dup", "lattice-dup", "ifrel-blank",
-             "lattice-17", "lattice-17-non-order"],
+        ids=["iso-11", "classify-1025", "classify-1025-json", "validate-1025", "dot-1025",
+             "iso-1025", "info-1025", "iso-map", "info-map", "ifrel-dup", "lattice-dup",
+             "ifrel-blank", "lattice-17", "lattice-17-non-order"],
     )
     def test_refusal_without_traceback(self, tmp_path, square_file, capsys, argv, payload,
                                        code, message):

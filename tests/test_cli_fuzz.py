@@ -3,8 +3,9 @@
 Every subcommand that reads files is fed arbitrary bytes, arbitrary JSON
 values and schema-shaped documents drawn from small pools, so that duplicate
 and blank labels, over-limit sizes (a 17-element carrier, an 11-element
-fragment), a 10-element fragment with 10! isomorphisms, out-of-range
-``--map`` indices and over-cap degrees actually occur.  ``cli.main`` runs
+fragment for ``iso``, a 1 025-element fragment), a 10-element fragment with
+10! isomorphisms, a 1 024-element fragment, out-of-range ``--map`` indices
+and over-cap degrees actually occur.  ``cli.main`` runs
 in-process; each run must end with exit code 0, 1 or 2 (argparse's
 ``SystemExit(2)`` included), let no other exception escape, and finish
 within the per-example deadline.
@@ -13,6 +14,7 @@ within the per-example deadline.
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from squareop.degrees import IMPLICATIONS
 from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
-from squareop.jsonio import diagram_to_json, fuzzy_diagram_to_json, lattice_to_json
+from squareop.jsonio import MAX_FRAGMENT, diagram_to_json, fuzzy_diagram_to_json, lattice_to_json
 
 FUZZ = settings(max_examples=150, deadline=2000)
 
@@ -63,6 +65,18 @@ CONTRARY_TEN = {  # at the iso fragment limit, with 10! isomorphisms onto itself
 FUZZY_SQUARE = fuzzy_diagram_to_json(embed_diagram(canonical_square()))
 
 
+def _random_fragment(n: int) -> dict:
+    """``n`` distinct elements on 16 atoms, with their default labels."""
+    atoms = list("abcdefghijklmnop")
+    masks = random.Random(7).sample(range(1 << 16), n)
+    return {"algebra": {"atoms": atoms},
+            "fragment": [[a for i, a in enumerate(atoms) if m >> i & 1] for m in masks]}
+
+
+AT_FRAGMENT_LIMIT = _random_fragment(MAX_FRAGMENT)  # the largest kind table read
+OVER_FRAGMENT_LIMIT = _random_fragment(MAX_FRAGMENT + 1)  # refused before any element
+
+
 def mostly(good, bad, rate: int):
     """A draw from ``bad`` about once in ``rate`` draws, else from ``good``."""
     return st.integers(1, rate).flatmap(lambda k: st.sampled_from(bad if k == 1 else good))
@@ -94,7 +108,8 @@ def relations(draw):
 @st.composite
 def crisp_diagrams(draw):
     if draw(st.booleans()):
-        return draw(st.sampled_from([ELEVEN, CONTRARY_TEN, SQUARE]))
+        return draw(st.sampled_from(
+            [ELEVEN, CONTRARY_TEN, SQUARE, AT_FRAGMENT_LIMIT, OVER_FRAGMENT_LIMIT]))
     atoms = draw(
         st.one_of(
             st.lists(st.sampled_from(ATOMS), max_size=4),
@@ -216,11 +231,17 @@ def test_arbitrary_json(invocation):
 
 
 TEN_BYTES = json.dumps(CONTRARY_TEN).encode()
+LIMIT_BYTES = json.dumps(AT_FRAGMENT_LIMIT).encode()
+OVER_BYTES = json.dumps(OVER_FRAGMENT_LIMIT).encode()
 
 
 @settings(FUZZ, max_examples=300)
 @given(invocations())
 @example(("iso", [TEN_BYTES, TEN_BYTES], []))  # iso at its limit, within the deadline
 @example(("iso", [TEN_BYTES, TEN_BYTES], ["--format=json"]))
+@example(("classify", [LIMIT_BYTES], []))  # the fragment limit, within the deadline
+@example(("classify", [LIMIT_BYTES], ["--format=json"]))
+@example(("dot", [LIMIT_BYTES], []))
+@example(("classify", [OVER_BYTES], []))
 def test_schema_shaped(invocation):
     check_exit_code(*invocation)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra
 from squareop.diagram import (
+    IMPLICATION_KINDS,
     INFORMATIVITY_COVERS,
     MAX_ISO_FRAGMENT,
+    OPPOSITION_KINDS,
     Diagram,
     DiagramMap,
     RelationKind,
@@ -50,6 +54,54 @@ def oracle_classify(x, y):
     if xs | ys == atoms:
         return SC
     return UN
+
+
+class TestRelationKindSurface:
+    """The seven members read, print, pickle and hash as plain enum members."""
+
+    DECLARED = [("BI", "BI"), ("LI", "LI"), ("RI", "RI"), ("CD", "CD"), ("C", "C"),
+                ("SC", "SC"), ("UN", "Un")]
+
+    def test_exactly_seven_members_in_declared_order(self):
+        assert [(k.name, k.value) for k in RelationKind] == self.DECLARED
+        assert list(RelationKind.__members__) == [name for name, _ in self.DECLARED]
+        assert [RelationKind.__members__[name] for name, _ in self.DECLARED] == list(RelationKind)
+
+    def test_value_name_and_str(self):
+        for name, value in self.DECLARED:
+            kind = RelationKind[name]
+            assert kind.name == name and kind.value == value
+            assert str(kind) == f"{kind}" == format(kind) == value
+            assert repr(kind) == f"<RelationKind.{name}: {value!r}>"
+            assert RelationKind(value) is kind
+        assert RelationKind("Un") is RelationKind.UN and RelationKind["UN"] is RelationKind.UN
+        with pytest.raises(ValueError):
+            RelationKind("UN")
+        with pytest.raises(KeyError):
+            RelationKind["Un"]
+
+    def test_pickle_and_deepcopy_return_the_member(self):
+        for kind in RelationKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert copy.copy(kind) is kind and copy.deepcopy(kind) is kind
+        table = canonical_square().kind_table
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert copy.deepcopy(table) == table
+
+    def test_hash_and_equality_agree_in_dicts_and_sets(self):
+        kinds = list(RelationKind)
+        for a in kinds:
+            for b in kinds:
+                assert (a == b) is (a is b)
+                assert (a == b) <= (hash(a) == hash(b))
+            assert a != a.value and a != a.name
+        assert len(set(kinds)) == 7 and len({k: k.value for k in kinds}) == 7
+        assert IMPLICATION_KINDS == {BI, LI, RI} and OPPOSITION_KINDS == {CD, C, SC}
+        assert IMPLICATION_KINDS | OPPOSITION_KINDS | {UN} == set(RelationKind)
+        order = informativity_order()
+        assert {(r, s) for r in kinds for s in kinds if (r, s) in order} == order
+        rebuilt = {(RelationKind(r.value), RelationKind[s.name]) for r, s in order}
+        assert rebuilt == order and hash(frozenset(rebuilt)) == hash(order)
 
 
 class TestClassify:
@@ -497,9 +549,58 @@ class TestInfomorphisms:
                 found += 1
                 assert check_infomorphism(compose_maps(m1, m2))
 
+    def test_non_integer_entries_rejected(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        m = DiagramMap(self.square, self.square, [0, 1, Two(), 3])
+        assert m.mapping == (0, 1, 2, 3) and all(type(j) is int for j in m.mapping)
+        for bad in (0.5, "1", None, 2.0):
+            with pytest.raises(ValueError, match="must be integers"):
+                DiagramMap(self.square, self.square, (bad, 1, 2, 3))
+
     def test_compose_requires_matching_middle(self):
         b = BooleanAlgebra.of(2)
         other = Diagram(b, (b.from_atoms(["a"]),))
         m = DiagramMap.identity(self.square)
         with pytest.raises(ValueError):
             compose_maps(m, DiagramMap.identity(other))
+
+
+@st.composite
+def composable_maps(draw):
+    """Two random maps d1 -> d2 -> d3 between crisp diagrams on 1-4 atoms."""
+    diagrams = []
+    for _ in range(3):
+        algebra = BooleanAlgebra.of(draw(st.integers(1, 4)))
+        bits = draw(st.lists(st.integers(0, algebra.mask), min_size=1, max_size=6, unique=True))
+        diagrams.append(Diagram(algebra, tuple(map(algebra.element, bits))))
+    maps = []
+    for source, target in zip(diagrams, diagrams[1:]):
+        index = st.integers(0, len(target.fragment) - 1)
+        mapping = draw(st.lists(index, min_size=len(source), max_size=len(source)))
+        maps.append(DiagramMap(source, target, tuple(mapping)))
+    return tuple(maps)
+
+
+class TestTrustedMaps:
+    """Composites and identities skip re-validation, and equal checked maps."""
+
+    @staticmethod
+    def assert_checked(m):
+        checked = DiagramMap(m.source, m.target, m.mapping)
+        assert m == checked and hash(m) == hash(checked)
+        assert type(m.mapping) is tuple and all(type(j) is int for j in m.mapping)
+
+    @settings(max_examples=150, deadline=None)
+    @given(composable_maps())
+    def test_composite_equals_the_validated_map(self, maps):
+        first, second = maps
+        composite = compose_maps(first, second)
+        self.assert_checked(composite)
+        assert composite.mapping == tuple(second.mapping[j] for j in first.mapping)
+        for d in (first.source, first.target, second.target):
+            self.assert_checked(DiagramMap.identity(d))
+        assert compose_maps(DiagramMap.identity(first.source), first) == first
+        assert compose_maps(first, DiagramMap.identity(first.target)) == first

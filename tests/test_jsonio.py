@@ -12,6 +12,7 @@ from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
 from squareop.ifrel import DegreeSumError, IFRelation, identity_relation
 from squareop.jsonio import (
+    MAX_FRAGMENT,
     InputFormatError,
     _expect_str,
     algebra_from_json,
@@ -263,6 +264,18 @@ class TestFragmentParsing:
             diagram_from_json(doc)
         assert str(exc.value) == message
         assert exc.value.path == message.split(":")[0]
+
+    def test_size_is_checked_before_any_element(self):
+        """A fragment over the limit is refused as too large (exit 1), not as
+        malformed, even when its elements would be malformed."""
+        atoms = [f"a{i}" for i in range(10)]
+        whole = [[a for i, a in enumerate(atoms) if bits >> i & 1] for bits in range(1024)]
+        assert len(whole) == MAX_FRAGMENT
+        assert len(diagram_from_json({"algebra": {"atoms": atoms}, "fragment": whole})) == 1024
+        for over in (whole + [["a0"]], [["nowhere"]] * (MAX_FRAGMENT + 1)):
+            with pytest.raises(ValueError, match="fragment larger than 1024 refused") as exc:
+                diagram_from_json({"algebra": {"atoms": atoms}, "fragment": over})
+            assert not isinstance(exc.value, InputFormatError)
 
     def test_repeated_label_is_accepted(self):
         doc = {"algebra": {"atoms": ["a", "b", "c"]}, "fragment": [["c", "a", "c"], ["b"]]}
