@@ -13,8 +13,9 @@ they are safe to share across threads without coordination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+from ._record import record
 
 MAX_ATOMS = 16
 MAX_EXHAUSTIVE_ATOMS = 4
@@ -26,7 +27,7 @@ class AlgebraMismatchError(ValueError):
     """An operation was applied to elements of two different algebras."""
 
 
-@dataclass(frozen=True)
+@record
 class BooleanAlgebra:
     """Powerset algebra over named atoms.
 
@@ -37,16 +38,29 @@ class BooleanAlgebra:
 
     atoms: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.atoms, tuple):
-            object.__setattr__(self, "atoms", tuple(self.atoms))
-        n = len(self.atoms)
+    def __init__(self, atoms: tuple[str, ...]) -> None:
+        if not isinstance(atoms, tuple):
+            atoms = tuple(atoms)
+        n = len(atoms)
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be between 1 and {MAX_ATOMS}, got {n}")
-        if len(set(self.atoms)) != n:
+        if len(set(atoms)) != n:
             raise ValueError("atom labels must be distinct")
-        if not all(isinstance(a, str) and a for a in self.atoms):
+        if not all(isinstance(a, str) and a for a in atoms):
             raise ValueError("atom labels must be non-empty strings")
+        object.__setattr__(self, "atoms", atoms)
+
+    # == and hash are written out rather than left to ``record``: every
+    # element operation and every diagram compares algebras
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     @classmethod
     def of(cls, atom_count: int) -> "BooleanAlgebra":
@@ -102,18 +116,28 @@ class BooleanAlgebra:
         return f"BooleanAlgebra({', '.join(self.atoms)})"
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     """A subset of the atoms of a :class:`BooleanAlgebra`, as a bitmask."""
 
     bits: int
     algebra: BooleanAlgebra
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < self.algebra.carrier_size:
-            raise ValueError(
-                f"bits {self.bits} out of range for a {self.algebra.atom_count}-atom algebra"
-            )
+    def __init__(self, bits: int, algebra: BooleanAlgebra) -> None:
+        if not 0 <= bits < algebra.carrier_size:
+            raise ValueError(f"bits {bits} out of range for a {algebra.atom_count}-atom algebra")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "algebra", algebra)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.algebra == other.algebra
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.algebra))
 
     def _require_same_algebra(self, other: "Element") -> None:
         if not isinstance(other, Element):
@@ -180,7 +204,7 @@ def element_label(e: Element) -> str:
     return "{%s}" % ",".join(e.atom_labels())
 
 
-@dataclass(frozen=True)
+@record
 class LawCheck:
     """Outcome of exhaustively checking one named law."""
 
@@ -191,7 +215,7 @@ class LawCheck:
     counterexample: tuple[Element, ...] | None
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     algebra: BooleanAlgebra
     checks: tuple[LawCheck, ...]

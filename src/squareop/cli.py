@@ -48,6 +48,16 @@ OK_EXIT, PROPERTY_FAILED, BAD_INPUT = 0, 1, 2
 #: ``listed N of M`` line when there are more.
 ISO_LISTING_CAP = 1000
 
+#: The largest text table printed, in characters, computed from the row
+#: count and the column widths before any line is rendered: every cell is
+#: padded to the widest label, so the text grows as n² times that width.
+#: The 1 024-element fragment limit with 16-atom default labels fits.
+MAX_TABLE_CHARS = 2**26
+
+#: The largest ``category-check --triples``: the category laws chain maps
+#: through every sampled diagram, so their work grows faster than the count.
+MAX_TRIPLES = 250
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -115,6 +125,13 @@ def _table_lines(labels, kinds) -> list[str]:
     rendered = [[str(k) for k in row] for row in kinds]
     width = max(len(x) for x in labels)
     cell = max([width] + [len(v) for row in rendered for v in row])
+    n = len(labels)
+    # a header and n rows, each at most the label column, n padded cells and
+    # a newline
+    if (n + 1) * (width + 1 + n * (cell + 2)) > MAX_TABLE_CHARS:
+        raise ValueError(
+            f"text table larger than {MAX_TABLE_CHARS} characters refused: use --format json"
+        )
     header = " " * (width + 2) + "  ".join(k.ljust(cell) for k in labels)
     lines = [header.rstrip()]
     for label, row in zip(labels, rendered):
@@ -308,6 +325,10 @@ def cmd_fuzzy_classify(args):
 
 
 def cmd_category_check(args):
+    if args.triples > MAX_TRIPLES:
+        raise ValueError(
+            f"more than {MAX_TRIPLES} triples refused: the law checks are super-linear"
+        )
     import random
 
     from .fuzzydiagram import verify_category_laws

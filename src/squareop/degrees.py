@@ -15,9 +15,10 @@ denominator, so one unbounded cell would otherwise inflate all the others.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
+
+from ._record import record
 
 Degree = Fraction
 
@@ -130,22 +131,22 @@ def register_implication(name: str, fn: Callable[[Fraction, Fraction], Fraction]
     IMPLICATIONS[name] = fn
 
 
-@dataclass(frozen=True)
+@record
 class OperatorChoice:
     """Named pick of negation and implication operators."""
 
-    negation: str = "standard"
-    implication: str = "kleene-dienes"
+    negation: str
+    implication: str
 
-    def __post_init__(self) -> None:
-        if self.negation not in NEGATIONS:
+    def __init__(self, negation: str = "standard", implication: str = "kleene-dienes") -> None:
+        if negation not in NEGATIONS:
+            raise ValueError(f"unknown negation {negation!r}; known: {sorted(NEGATIONS)}")
+        if implication not in IMPLICATIONS:
             raise ValueError(
-                f"unknown negation {self.negation!r}; known: {sorted(NEGATIONS)}"
+                f"unknown implication {implication!r}; known: {sorted(IMPLICATIONS)}"
             )
-        if self.implication not in IMPLICATIONS:
-            raise ValueError(
-                f"unknown implication {self.implication!r}; known: {sorted(IMPLICATIONS)}"
-            )
+        object.__setattr__(self, "negation", negation)
+        object.__setattr__(self, "implication", implication)
 
 
 def negate(ops: OperatorChoice, a: Fraction) -> Fraction:
@@ -159,7 +160,7 @@ def implies(ops: OperatorChoice, a: Fraction, b: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # membership / nonmembership pairs
 
-@dataclass(frozen=True)
+@record
 class IFPair:
     """A (membership, nonmembership) pair with mu + nu <= 1.
 
@@ -169,11 +170,12 @@ class IFPair:
     mu: Fraction
     nu: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", degree(self.mu))
-        object.__setattr__(self, "nu", degree(self.nu))
-        if self.mu + self.nu > ONE:
-            raise ValueError(f"mu + nu = {self.mu + self.nu} exceeds 1")
+    def __init__(self, mu: Fraction, nu: Fraction) -> None:
+        mu, nu = degree(mu), degree(nu)
+        if mu + nu > ONE:
+            raise ValueError(f"mu + nu = {mu + nu} exceeds 1")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
     @classmethod
     def _trusted(cls, mu: Fraction, nu: Fraction) -> "IFPair":
@@ -204,25 +206,23 @@ FULL = IFPair(ONE, ZERO)
 # ---------------------------------------------------------------------------
 # fuzzy sets over finite labeled domains
 
-@dataclass(frozen=True)
+@record
 class FuzzySet:
     """A fuzzy subset of a finite ordered domain of labeled points."""
 
     domain: tuple[str, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.domain, tuple):
-            object.__setattr__(self, "domain", tuple(self.domain))
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        if not self.domain:
+    def __init__(self, domain: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
+        domain, values = tuple(domain), tuple(values)
+        if not domain:
             raise ValueError("domain must not be empty")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):
             raise ValueError("domain labels must be distinct")
-        if len(self.values) != len(self.domain):
+        if len(values) != len(domain):
             raise ValueError("membership must be total on the domain")
-        object.__setattr__(self, "values", tuple(degree(v) for v in self.values))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", tuple(degree(v) for v in values))
 
     @classmethod
     def from_mapping(cls, membership: Mapping[str, int | str | Fraction]) -> "FuzzySet":

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ._record import record
 from .algebra import AlgebraMismatchError, BooleanAlgebra, Element, element_label
 
 if TYPE_CHECKING:
@@ -164,30 +164,42 @@ def classify(x: Element, y: Element) -> RelationKind:
     return _kind_table((x.bits, y.bits), x.algebra.mask)[0][1]
 
 
-@dataclass(frozen=True)
+@record
 class Diagram:
-    """A fragment of a Boolean algebra with display labels."""
+    """A fragment of a Boolean algebra with display labels.
+
+    Without ``labels``, each element's canonical label (``{a,c}``) is its
+    label, computed on first read; the value is the same either way.
+    """
 
     algebra: BooleanAlgebra
     fragment: tuple[Element, ...]
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.fragment, tuple):
-            object.__setattr__(self, "fragment", tuple(self.fragment))
-        if not self.fragment:
+    def __init__(
+        self, algebra: BooleanAlgebra, fragment: tuple[Element, ...], labels: tuple[str, ...] = ()
+    ) -> None:
+        if not isinstance(fragment, tuple):
+            fragment = tuple(fragment)
+        if not fragment:
             raise ValueError("fragment must not be empty")
-        for e in self.fragment:
-            if e.algebra != self.algebra:
+        for e in fragment:
+            if e.algebra != algebra:
                 raise AlgebraMismatchError("fragment element does not belong to the diagram algebra")
-        if len({e.bits for e in self.fragment}) != len(self.fragment):
+        if len({e.bits for e in fragment}) != len(fragment):
             raise ValueError("fragment elements must be distinct")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(element_label(e) for e in self.fragment))
-        elif not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != len(self.fragment):
-            raise ValueError("labels must align with the fragment")
+        if labels:
+            if not isinstance(labels, tuple):
+                labels = tuple(labels)
+            if len(labels) != len(fragment):
+                raise ValueError("labels must align with the fragment")
+            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "fragment", fragment)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(element_label(e) for e in self.fragment)
 
     @property
     def all_contingent(self) -> bool:
@@ -229,7 +241,7 @@ def canonical_square() -> Diagram:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DiagramMap:
     """A total function between diagram fragments, as target indices.
 
@@ -241,19 +253,24 @@ class DiagramMap:
     target: Diagram | FuzzyAristotelianDiagram
     mapping: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        source: Diagram | FuzzyAristotelianDiagram,
+        target: Diagram | FuzzyAristotelianDiagram,
+        mapping: tuple[int, ...],
+    ) -> None:
         try:
-            mapping = tuple(map(operator.index, self.mapping))
+            indices = tuple(map(operator.index, mapping))
         except TypeError:
-            raise ValueError(
-                f"mapping target indices must be integers, got {self.mapping!r}"
-            ) from None
-        object.__setattr__(self, "mapping", mapping)
-        if len(mapping) != len(self.source.fragment):
+            raise ValueError(f"mapping target indices must be integers, got {mapping!r}") from None
+        if len(indices) != len(source.fragment):
             raise ValueError("mapping must be total on the source fragment")
-        for j in mapping:
-            if not 0 <= j < len(self.target.fragment):
+        for j in indices:
+            if not 0 <= j < len(target.fragment):
                 raise ValueError(f"mapping target index {j} out of range")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", indices)
 
     @classmethod
     def _trusted(

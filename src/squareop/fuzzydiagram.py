@@ -23,12 +23,12 @@ order edge differ by at most the diagram tolerance (default 1/100).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
+from ._record import record
 from .algebra import element_label
 from .degrees import FULL, IFPair, degree
 from .diagram import (
@@ -45,33 +45,54 @@ from .iflattice import IFLattice, LawViolationError, powerset_lattice
 DEFAULT_TOLERANCE = Fraction(1, 100)
 
 
-@dataclass(frozen=True)
+@record
 class FuzzyAristotelianDiagram:
     """A fragment of a certified fuzzy Boolean algebra."""
 
     lattice: IFLattice
     fragment: tuple[str, ...]
-    labels: tuple[str, ...] = ()
-    tolerance: Fraction = DEFAULT_TOLERANCE
+    labels: tuple[str, ...]
+    tolerance: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fragment", tuple(self.fragment))
-        object.__setattr__(self, "tolerance", degree(self.tolerance))
-        if not self.fragment:
+    def __init__(
+        self,
+        lattice: IFLattice,
+        fragment: tuple[str, ...],
+        labels: tuple[str, ...] = (),
+        tolerance: Fraction = DEFAULT_TOLERANCE,
+    ) -> None:
+        fragment = tuple(fragment)
+        tolerance = degree(tolerance)
+        if not fragment:
             raise ValueError("fragment must not be empty")
-        if len(set(self.fragment)) != len(self.fragment):
+        if len(set(fragment)) != len(fragment):
             raise ValueError("fragment elements must be distinct")
-        for x in self.fragment:
-            if x not in self.lattice.carrier:
+        for x in fragment:
+            if x not in lattice.carrier:
                 raise ValueError(f"fragment element {x!r} is not in the carrier")
-        if not self.lattice.is_if_boolean_algebra:
+        if not lattice.is_if_boolean_algebra:
             raise ValueError("the underlying lattice is not a fuzzy Boolean algebra")
-        if not self.labels:
-            object.__setattr__(self, "labels", self.fragment)
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != len(self.fragment):
+        labels = tuple(labels) if labels else fragment
+        if len(labels) != len(fragment):
             raise ValueError("labels must align with the fragment")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "fragment", fragment)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tolerance", tolerance)
+
+    # == and hash are written out rather than left to ``record``: the category
+    # laws key their maps by diagram
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.lattice, self.fragment, self.labels, self.tolerance) == (
+                other.lattice, other.fragment, other.labels, other.tolerance
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.fragment, self.labels, self.tolerance))
 
     def _require_member(self, x: str) -> None:
         if x not in self.fragment:
@@ -189,7 +210,7 @@ def check_if_homomorphism(
     return True
 
 
-@dataclass(frozen=True)
+@record
 class LawResult:
     law: str
     holds: bool
@@ -197,7 +218,7 @@ class LawResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class CategoryLawReport:
     laws: tuple[LawResult, ...]
     excluded: tuple[int, ...]
@@ -283,7 +304,7 @@ def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedSquare:
     """The traditional square with a degree pair attached to each cell."""
 

@@ -25,11 +25,11 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import attrgetter
 
+from ._record import record
 from .algebra import BooleanAlgebra, element_label
 from .diagram import RelationKind, _kind_table
 from .ifrel import IFRelation, is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
@@ -58,7 +58,7 @@ _STRUCTURE_CACHE_SIZE = 256
 BoundTable = tuple[tuple[int | None, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class _OrderStructure:
     """Degree-free structure of a crisp partial order on indices 0..n-1.
 
@@ -157,11 +157,27 @@ def _order_structure(up: tuple[int, ...]) -> _OrderStructure:
     return _OrderStructure(up, lub, glb, True, bottom, top, distributive, complements, atoms, neg)
 
 
-@dataclass(frozen=True)
+@record
 class IFLattice:
     """A finite set ordered by an intuitionistic fuzzy partial order."""
 
     order: IFRelation
+
+    def __init__(self, order: IFRelation) -> None:
+        object.__setattr__(self, "order", order)
+        self.__post_init__()
+
+    # == and hash are written out rather than left to ``record``: lattices are
+    # compared and hashed as parts of fuzzy diagrams, often as dict keys
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.order == other.order
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.order,))
 
     def __post_init__(self) -> None:
         if not self.order.is_square:
@@ -285,7 +301,7 @@ class IFLattice:
 underlying_order = attrgetter("underlying_order")
 
 
-@dataclass(frozen=True)
+@record
 class LatticeCertification:
     """Flags from certifying a square relation, in dependency order.
 

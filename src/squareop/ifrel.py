@@ -41,13 +41,13 @@ internal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
+from ._record import record
 from .degrees import IFPair, degree
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -97,7 +97,7 @@ def _scaled(matrix: IntMatrix, factor: int) -> IntMatrix:
     return tuple(tuple(x * factor for x in row) for row in matrix)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@record
 class IFRelation:
     """Degree-matrix pair over ``source`` x ``target``, stored as ints over ``den``."""
 
@@ -186,6 +186,21 @@ class IFRelation:
     @cached_property
     def nu(self) -> Matrix:
         return _fractions(self.n, self.den)
+
+    # written out rather than left to ``record``: relations are compared and
+    # hashed as parts of lattices and fuzzy diagrams, often as dict keys
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (
+                self.source == other.source and self.target == other.target
+                and self.den == other.den and self.m == other.m and self.n == other.n
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.den, self.m, self.n))
 
     def __repr__(self) -> str:
         return (

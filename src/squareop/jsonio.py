@@ -22,7 +22,6 @@ Schemas:
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from .algebra import BooleanAlgebra, Element
@@ -42,6 +41,16 @@ if TYPE_CHECKING:
 #: any element is parsed: the kind table has n² cells, and at 1 024
 #: elements ``classify``, ``dot`` and ``info`` take about a second end to end.
 MAX_FRAGMENT = 1024
+
+#: The largest relation set read, checked on the raw JSON list before any
+#: degree is parsed: the transitivity check walks n³ chains when every
+#: cell has nu < 1, which takes about a second at 200 elements.
+MAX_RELATION = 200
+
+#: The most points a fuzzy set may have, checked before any degree is
+#: parsed: ``contradiction`` on two sets of 65 536 points takes about
+#: 1.5 s end to end.
+MAX_POINTS = 65536
 
 
 class InputFormatError(ValueError):
@@ -210,7 +219,10 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
         key = "carrier"
     else:
         raise InputFormatError('missing key "set" (or "carrier")', path)
-    labels = _string_list(record[key], f"{path}.{key}")
+    raw = _expect_list(record[key], f"{path}.{key}")
+    if len(raw) > MAX_RELATION:  # well-formed but too large: a refusal, not exit 2
+        raise ValueError(f"relation larger than {MAX_RELATION} refused: the order checks are cubic")
+    labels = _string_list(raw, f"{path}.{key}")
     _expect(len(labels) >= 1, "the set must not be empty", f"{path}.{key}")
     for mkey in ("mu", "nu"):
         _expect(mkey in record, f'missing key "{mkey}"', path)
@@ -234,7 +246,17 @@ def lattice_to_json(lattice: IFLattice) -> dict:
 
 
 def certification_to_json(cert: LatticeCertification) -> dict:
-    return asdict(cert)
+    return {
+        "reflexive": cert.reflexive,
+        "perfectly_antisymmetric": cert.perfectly_antisymmetric,
+        "transitive": cert.transitive,
+        "partial_order": cert.partial_order,
+        "lattice": cert.lattice,
+        "distributive": cert.distributive,
+        "complemented": cert.complemented,
+        "de_morgan": cert.de_morgan,
+        "if_boolean_algebra": cert.if_boolean_algebra,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +268,8 @@ def fuzzy_set_to_json(s: FuzzySet) -> dict:
 def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
     record = _expect_object(obj, path)
     _expect(len(record) >= 1, "fuzzy set must not be empty", path)
+    if len(record) > MAX_POINTS:
+        raise ValueError(f"fuzzy set larger than {MAX_POINTS} points refused")
     domain = []
     values = []
     memo: dict[str, Fraction] = {}

@@ -39,6 +39,21 @@ def test_import_loads_no_module():
     assert proc.stdout.split() == []
 
 
+def test_no_module_loads_dataclasses():
+    """Every record is a plain frozen class, so importing the whole library
+    loads neither ``dataclasses`` nor ``inspect``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]))
+    modules = [p.stem for p in Path(squareop.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    code = ("import sys, importlib\n"
+            f"for m in {modules!r}: importlib.import_module('squareop.' + m)\n"
+            "print(*sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {f"squareop.{m}" for m in modules} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
 def test_every_public_name_is_its_owning_modules_object():
     for name in squareop.__all__:
         owner = importlib.import_module(f"squareop.{squareop._MODULE_OF[name]}")

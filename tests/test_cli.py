@@ -11,13 +11,20 @@ import pytest
 
 import squareop
 from squareop.algebra import BooleanAlgebra
-from squareop.cli import ISO_LISTING_CAP, main
+from squareop import cli
+from squareop.cli import ISO_LISTING_CAP, MAX_TRIPLES, main
 from squareop.diagram import Diagram, canonical_square
 from squareop.dot import diagram_to_dot, fuzzy_diagram_to_dot
 from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
 from squareop.iflattice import IFLattice, powerset_lattice
 from squareop.ifrel import IFRelation
-from squareop.jsonio import diagram_to_json, fuzzy_diagram_to_json, lattice_to_json
+from squareop.jsonio import (
+    MAX_POINTS,
+    MAX_RELATION,
+    diagram_to_json,
+    fuzzy_diagram_to_json,
+    lattice_to_json,
+)
 
 # exact stdout for the canonical square and its fuzzy embedding
 SQUARE_DOT = """\
@@ -588,6 +595,16 @@ OVER_FRAGMENT_LIMIT = {  # one element over the kind-table limit, all of them du
     "fragment": [["a"]] * 1025,
 }
 
+OVER_RELATION_LIMIT = _discrete_relation([f"e{i}" for i in range(MAX_RELATION + 1)])
+OVER_POINT_LIMIT = {f"p{i}": "1/2" for i in range(MAX_POINTS + 1)}
+# 200 elements, one labelled with 2 000 characters: the text table pads every
+# cell to that width, about 81 million characters in all
+WIDE_LABEL = {
+    "algebra": {"atoms": list("abcdefgh")},
+    "fragment": [[a for i, a in enumerate("abcdefgh") if bits >> i & 1] for bits in range(200)],
+    "labels": ["x" * 2000] + [f"e{i}" for i in range(1, 200)],
+}
+
 
 class TestErrorsBecomeExitCodes:
     @pytest.mark.parametrize(
@@ -607,10 +624,22 @@ class TestErrorsBecomeExitCodes:
              "carrier larger than 16 refused"),
             # not antisymmetric: refused for its size before any order check
             (["lattice-check", "IN"], _dense_relation(17), 1, "carrier larger than 16 refused"),
+            *((argv, OVER_RELATION_LIMIT, 1, f"relation larger than {MAX_RELATION} refused")
+              for argv in (["ifrel-check", "IN"], ["lattice-check", "IN"], ["validate", "IN"])),
+            (["fuzzy-classify", "IN"], {"lattice": OVER_RELATION_LIMIT, "fragment": ["e0"]}, 1,
+             f"relation larger than {MAX_RELATION} refused"),
+            (["contradiction", "IN"], OVER_POINT_LIMIT, 1,
+             f"fuzzy set larger than {MAX_POINTS} points refused"),
+            (["validate", "IN"], OVER_POINT_LIMIT, 1, f"larger than {MAX_POINTS} points refused"),
+            (["category-check", "--triples", str(MAX_TRIPLES + 1)], None, 1,
+             f"more than {MAX_TRIPLES} triples refused"),
+            (["classify", "IN"], WIDE_LABEL, 1, "characters refused: use --format json"),
         ],
         ids=["iso-11", "classify-1025", "classify-1025-json", "validate-1025", "dot-1025",
              "iso-1025", "info-1025", "iso-map", "info-map", "ifrel-dup", "lattice-dup",
-             "ifrel-blank", "lattice-17", "lattice-17-non-order"],
+             "ifrel-blank", "lattice-17", "lattice-17-non-order", "ifrel-201", "lattice-201",
+             "validate-201", "fuzzy-classify-201", "contradiction-65537", "validate-65537",
+             "category-check-251", "classify-wide-label"],
     )
     def test_refusal_without_traceback(self, tmp_path, square_file, capsys, argv, payload,
                                        code, message):
@@ -622,6 +651,51 @@ class TestErrorsBecomeExitCodes:
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_relation_at_the_set_limit_is_read(self, tmp_path, capsys):
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(_discrete_relation([f"e{i}" for i in range(MAX_RELATION)])))
+        code, out, _ = run(capsys, "ifrel-check", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["partial_order"] is True
+
+    def test_fuzzy_set_at_the_point_limit_is_read(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({f"p{i}": "1/2" for i in range(MAX_POINTS)}))
+        assert run(capsys, "validate", str(path)) == (0, f"OK: fuzzy-set ({MAX_POINTS} points)\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wide_label_table_is_printed_as_json_only(self, tmp_path, capsys, fmt):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE_LABEL))
+        code, out, err = run(capsys, "classify", str(path), "--format", fmt)
+        if fmt == "json":
+            assert code == 0 and json.loads(out)["labels"][0] == "x" * 2000
+        else:
+            assert (code, out) == (1, "")
+            assert err == (f"error: text table larger than {cli.MAX_TABLE_CHARS} characters "
+                           "refused: use --format json\n")
+
+    @pytest.mark.parametrize("command", ["classify", "fuzzy-classify"])
+    def test_text_table_limit_is_its_rendered_bound(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """The bound counts a header and n rows, each of the label column, n
+        cells padded to the widest label and a newline: the square's table is
+        printed at the bound and refused one character below it."""
+        square = canonical_square()
+        doc = diagram_to_json(square)
+        if command == "fuzzy-classify":
+            doc = fuzzy_diagram_to_json(embed_diagram(square))
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(doc))
+        _, table, _ = run(capsys, command, str(path))
+        width, n = len("Some S is not P"), 4  # every cell is narrower than the widest label
+        bound = (n + 1) * (width + 1 + n * (width + 2))
+        monkeypatch.setattr(cli, "MAX_TABLE_CHARS", bound)
+        assert run(capsys, command, str(path)) == (0, table, "")
+        monkeypatch.setattr(cli, "MAX_TABLE_CHARS", bound - 1)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "") and err.endswith("refused: use --format json\n")
 
     def test_duplicate_relation_labels_fail_validation(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
@@ -665,14 +739,22 @@ def _squareop(*argv, **kwargs):
 
 
 FUZZY_LAYERS = ("ifrel", "iflattice", "fuzzydiagram", "sampling")
+# standard modules that take 8-15 ms to import; the library's records are
+# plain classes, so no subcommand needs them
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def _modules_loaded(*argv) -> set[str]:
+    """The modules a fresh interpreter holds after ``cli.main(argv)``."""
+    proc = _python("-c", "import sys; from squareop.cli import main; code = main(sys.argv[1:]); "
+                   "print(*sys.modules, file=sys.stderr); sys.exit(code)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.decode().split())
 
 
 def _layers_loaded(*argv) -> set[str]:
     """The ``squareop`` modules a fresh interpreter holds after ``cli.main(argv)``."""
-    proc = _python("-c", "import sys; from squareop.cli import main; code = main(sys.argv[1:]); "
-                   "print(*sys.modules, file=sys.stderr); sys.exit(code)", *argv)
-    assert proc.returncode == 0, proc.stderr
-    return {m.split(".", 1)[1] for m in proc.stderr.decode().split() if m.startswith("squareop.")}
+    return {m.split(".", 1)[1] for m in _modules_loaded(*argv) if m.startswith("squareop.")}
 
 
 @pytest.mark.parametrize("command, dot", [
@@ -686,10 +768,35 @@ def _layers_loaded(*argv) -> set[str]:
     ("validate {square}", False),
 ])
 def test_crisp_commands_load_no_fuzzy_layer(square_file, command, dot):
-    """Each subcommand imports only the layers it uses; DOT output alone loads ``dot``."""
-    loaded = _layers_loaded(*command.format(square=square_file).split())
+    """Each subcommand imports only the layers it uses; DOT output alone
+    loads ``dot``; none loads ``dataclasses`` or ``inspect``."""
+    modules = _modules_loaded(*command.format(square=square_file).split())
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("squareop.")}
     assert loaded.isdisjoint(FUZZY_LAYERS), loaded
     assert ("dot" in loaded) == dot
+    assert modules.isdisjoint(SLOW_IMPORTS), modules & set(SLOW_IMPORTS)
+
+
+@pytest.mark.parametrize("command", [
+    "ifrel-check {lattice}",
+    "lattice-check {lattice} --format json",
+    "contradiction {points}",
+    "fuzzy-classify {fuzzy}",
+    "dot {fuzzy}",
+    "validate {fuzzy}",
+    "category-check --triples 2",
+])
+def test_fuzzy_commands_load_no_dataclasses(tmp_path, command):
+    files = {
+        "lattice": lattice_to_json(powerset_lattice(BooleanAlgebra.of(2))),
+        "points": {"x": "1/2", "y": "1/3"},
+        "fuzzy": fuzzy_diagram_to_json(embed_diagram(canonical_square())),
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = command.format(**{name: tmp_path / f"{name}.json" for name in files}).split()
+    modules = _modules_loaded(*argv)
+    assert modules.isdisjoint(SLOW_IMPORTS), modules & set(SLOW_IMPORTS)
 
 
 def test_lattice_check_loads_no_sampler(tmp_path):

@@ -3,9 +3,11 @@
 Every subcommand that reads files is fed arbitrary bytes, arbitrary JSON
 values and schema-shaped documents drawn from small pools, so that duplicate
 and blank labels, over-limit sizes (a 17-element carrier, an 11-element
-fragment for ``iso``, a 1 025-element fragment), a 10-element fragment with
-10! isomorphisms, a 1 024-element fragment, out-of-range ``--map`` indices
-and over-cap degrees actually occur.  ``cli.main`` runs
+fragment for ``iso``, a 1 025-element fragment, a 201-element relation, a
+fuzzy set of 65 537 points, 251 ``category-check`` triples, a text table
+over its character limit), a 10-element fragment with 10! isomorphisms,
+inputs at each of those limits, out-of-range ``--map`` indices and over-cap
+degrees actually occur.  ``cli.main`` runs
 in-process; each run must end with exit code 0, 1 or 2 (argparse's
 ``SystemExit(2)`` included), let no other exception escape, and finish
 within the per-example deadline.
@@ -21,12 +23,19 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from squareop.algebra import BooleanAlgebra
-from squareop.cli import main
+from squareop.cli import MAX_TRIPLES, main
 from squareop.degrees import IMPLICATIONS
 from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
-from squareop.jsonio import MAX_FRAGMENT, diagram_to_json, fuzzy_diagram_to_json, lattice_to_json
+from squareop.jsonio import (
+    MAX_FRAGMENT,
+    MAX_POINTS,
+    MAX_RELATION,
+    diagram_to_json,
+    fuzzy_diagram_to_json,
+    lattice_to_json,
+)
 
 FUZZ = settings(max_examples=150, deadline=2000)
 
@@ -50,6 +59,8 @@ ORDERS = [
     _crisp_order([f"e{i}" for i in range(17)], lambda i, j: i == j),  # over the carrier limit
     _crisp_order([f"e{i}" for i in range(16)], lambda i, j: i == j),  # not a lattice
     _crisp_order(["a", "b", "c"], lambda i, j: i <= j),  # a chain: not complemented
+    _crisp_order([f"e{i}" for i in range(MAX_RELATION)], lambda i, j: i == j),  # the set limit
+    _crisp_order([f"e{i}" for i in range(MAX_RELATION + 1)], lambda i, j: i == j),  # refused
 ] + [lattice_to_json(powerset_lattice(BooleanAlgebra.of(k))) for k in range(1, 5)]
 
 SQUARE = diagram_to_json(canonical_square())
@@ -75,6 +86,17 @@ def _random_fragment(n: int) -> dict:
 
 AT_FRAGMENT_LIMIT = _random_fragment(MAX_FRAGMENT)  # the largest kind table read
 OVER_FRAGMENT_LIMIT = _random_fragment(MAX_FRAGMENT + 1)  # refused before any element
+# 200 elements, one of them labelled with 5 000 characters: the text table
+# would pad every cell to that width, so it is refused; JSON is printed
+WIDE_TABLE = dict(_random_fragment(200), labels=["x" * 5000] + [f"l{i}" for i in range(199)])
+
+
+def _points(n: int) -> dict:
+    return {f"p{i}": GOOD_DEGREES[i % len(GOOD_DEGREES)] for i in range(n)}
+
+
+AT_POINT_LIMIT = _points(MAX_POINTS)  # the largest fuzzy set read
+OVER_POINT_LIMIT = _points(MAX_POINTS + 1)  # refused before any degree
 
 
 def mostly(good, bad, rate: int):
@@ -109,7 +131,7 @@ def relations(draw):
 def crisp_diagrams(draw):
     if draw(st.booleans()):
         return draw(st.sampled_from(
-            [ELEVEN, CONTRARY_TEN, SQUARE, AT_FRAGMENT_LIMIT, OVER_FRAGMENT_LIMIT]))
+            [ELEVEN, CONTRARY_TEN, SQUARE, AT_FRAGMENT_LIMIT, OVER_FRAGMENT_LIMIT, WIDE_TABLE]))
     atoms = draw(
         st.one_of(
             st.lists(st.sampled_from(ATOMS), max_size=4),
@@ -140,8 +162,21 @@ def fuzzy_diagrams(draw):
     return doc
 
 
-fuzzy_sets = st.dictionaries(st.sampled_from(LABELS), degree_cell(), max_size=4)
-documents = st.one_of(relations(), crisp_diagrams(), fuzzy_diagrams(), fuzzy_sets)
+small_fuzzy_sets = st.dictionaries(st.sampled_from(LABELS), degree_cell(), max_size=4)
+
+
+def _rarely(*large):
+    """A small fuzzy set, or about once in 20 draws one of ``large``."""
+    return st.integers(1, 20).flatmap(
+        lambda k: st.sampled_from(large) if k == 1 else small_fuzzy_sets)
+
+
+# contradiction compares a set at the point limit in 1.1-1.7 s in-process, too
+# close to the deadline, so only validate reads it; the CI steps time it
+fuzzy_sets = _rarely(OVER_POINT_LIMIT)
+documents = st.one_of(
+    relations(), crisp_diagrams(), fuzzy_diagrams(), _rarely(AT_POINT_LIMIT, OVER_POINT_LIMIT)
+)
 map_texts = st.one_of(
     st.lists(st.integers(-2, 12), max_size=11).map(lambda xs: ",".join(map(str, xs))),
     # as long as the canonical square's fragment, mostly in range
@@ -160,6 +195,9 @@ maps = _option("map", map_texts)
 # subcommand -> (the document strategy of each file it reads, its options);
 # contradiction's second file is optional
 COMMANDS = {
+    "category-check": (
+        [], _option("triples", st.sampled_from([0, 1, MAX_TRIPLES, MAX_TRIPLES + 1]))
+    ),
     "validate": (
         [documents],
         _option("kind", st.sampled_from(
@@ -233,6 +271,7 @@ def test_arbitrary_json(invocation):
 TEN_BYTES = json.dumps(CONTRARY_TEN).encode()
 LIMIT_BYTES = json.dumps(AT_FRAGMENT_LIMIT).encode()
 OVER_BYTES = json.dumps(OVER_FRAGMENT_LIMIT).encode()
+POINTS_BYTES = json.dumps(AT_POINT_LIMIT).encode()
 
 
 @settings(FUZZ, max_examples=300)
@@ -243,5 +282,7 @@ OVER_BYTES = json.dumps(OVER_FRAGMENT_LIMIT).encode()
 @example(("classify", [LIMIT_BYTES], ["--format=json"]))
 @example(("dot", [LIMIT_BYTES], []))
 @example(("classify", [OVER_BYTES], []))
+@example(("validate", [POINTS_BYTES], []))  # the point limit
+@example(("category-check", [], [f"--triples={MAX_TRIPLES}"]))  # the triples limit
 def test_schema_shaped(invocation):
     check_exit_code(*invocation)

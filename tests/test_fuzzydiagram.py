@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from squareop.fuzzydiagram import (
     verify_category_laws,
 )
 from squareop.ifrel import IFRelation
-from squareop.iflattice import IFLattice, LawViolationError, powerset_lattice
+from squareop.iflattice import IFLattice, LawViolationError, _OrderStructure, powerset_lattice
 from squareop.sampling import (
     _permute_lattice,
     composable_infomorphism_triples,
@@ -351,7 +350,10 @@ class TestIFHomomorphism:
         glb = [list(row) for row in s.glb]
         glb[1][2] = glb[2][1] = 3  # {a} ^ {b} read as {a,b}; carrier indices are bitmasks
         broken = IFLattice(lat.order)  # a fresh instance, so the shared one stays intact
-        broken.__dict__["_structure"] = dataclasses.replace(s, glb=tuple(map(tuple, glb)))
+        broken.__dict__["_structure"] = _OrderStructure(
+            s.up, s.lub, tuple(map(tuple, glb)), s.is_lattice, s.bottom, s.top,
+            s.is_distributive, s.complements, s.atoms, s.neg,
+        )
         identity = {x: x for x in lat.carrier}
         with pytest.raises(LawViolationError, match=r"meet preservation failed at \('\{a\}', '\{b\}'\)"):
             check_if_homomorphism(broken, lat, identity)
