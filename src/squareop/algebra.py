@@ -206,13 +206,19 @@ def element_label(e: Element) -> str:
 
 @record
 class LawCheck:
-    """Outcome of exhaustively checking one named law."""
+    """Outcome of exhaustively checking one named law.
+
+    ``checked`` counts the cases and ``counterexample`` is the first one
+    that fails, or None.  The Boolean-algebra axioms give their group (1-5)
+    and a tuple of elements; the category laws give no group and a tuple of
+    diagram maps.
+    """
 
     law: str
-    group: int
+    group: int | None
     holds: bool
     checked: int
-    counterexample: tuple[Element, ...] | None
+    counterexample: tuple | None
 
 
 @record

@@ -54,6 +54,12 @@ ISO_LISTING_CAP = 1000
 #: The 1 024-element fragment limit with 16-atom default labels fits.
 MAX_TABLE_CHARS = 2**26
 
+#: The largest input file, in bytes, refused before it is read.  The count
+#: limits admit no larger document with degree strings of at most 100
+#: characters: a dense 200-element relation of them is about 8.3 MB.  Pipes
+#: report no size and are not bounded here.
+MAX_FILE_BYTES = 2**24
+
 #: The largest ``category-check --triples``: the category laws chain maps
 #: through every sampled diagram, so their work grows faster than the count.
 MAX_TRIPLES = 250
@@ -74,6 +80,9 @@ def _marks() -> tuple[str, str]:
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES:
+                raise CliError(f"{path}: file larger than {MAX_FILE_BYTES} bytes refused",
+                               PROPERTY_FAILED)
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)

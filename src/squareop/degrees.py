@@ -261,8 +261,11 @@ def contradiction_degree(
         raise DomainMismatchError(
             f"fuzzy sets have different domains: {a.domain} vs {b.domain}"
         )
+    # a fuzzy set's values are checked degrees, so only the negation's result is checked
+    # here; an implication's is not: Reichenbach's can pass the denominator cap
+    negation, implication = NEGATIONS[ops.negation], IMPLICATIONS[ops.implication]
     pointwise = {
-        x: implies(ops, p, negate(ops, q)) for x, p, q in zip(a.domain, a.values, b.values)
+        x: implication(p, degree(negation(q))) for x, p, q in zip(a.domain, a.values, b.values)
     }
     return ContradictionDegrees(min(pointwise.values()), pointwise)
 

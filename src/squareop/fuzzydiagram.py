@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain, product
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ._record import record
-from .algebra import element_label
+from .algebra import LawCheck, element_label
 from .degrees import FULL, IFPair, degree
 from .diagram import (
     Diagram,
@@ -210,17 +210,13 @@ def check_if_homomorphism(
     return True
 
 
-@record
-class LawResult:
-    law: str
-    holds: bool
-    checked: int
-    detail: str = ""
+#: the category laws' verdict: ``group`` is None and the witness is a tuple of maps
+LawResult = LawCheck
 
 
 @record
 class CategoryLawReport:
-    laws: tuple[LawResult, ...]
+    laws: tuple[LawCheck, ...]
     excluded: tuple[int, ...]
 
     @property
@@ -232,14 +228,17 @@ def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
     """Check the category laws on a sample of diagram maps.
 
     1. identity: identity maps are infomorphisms and are neutral for
-       composition against every sample map;
-    2. closure: the composite of two composable infomorphisms is one;
+       composition against every sample map; its cases are each diagram's
+       identity map, then each sample map;
+    2. closure: the composite of two composable infomorphisms is one; its
+       cases are the composable pairs of passing maps;
     3. associativity: composing three composable maps either way yields the
-       same map.
+       same map; its cases are the composable triples.
 
-    Sample maps that are not themselves infomorphisms are excluded from the
-    closure law (their indices are reported); non-composable chains are
-    skipped, not fatal.
+    Each law counts its cases and keeps the first failing one, a tuple of
+    maps, as its counterexample.  Sample maps that are not themselves
+    infomorphisms are excluded from the closure law (their indices are
+    reported); non-composable chains are skipped, not fatal.
     """
     maps = list(maps)
     passing = [check_infomorphism(m) for m in maps]
@@ -251,57 +250,36 @@ def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
     for i, m in enumerate(maps):
         leaving[m.source].append(i)
 
-    identity_checked = 0
-    identity_ok = True
-    for d in diagrams:
-        identity_checked += 1
-        if not check_infomorphism(DiagramMap.identity(d)):
-            identity_ok = False
-    for m in maps:
-        identity_checked += 1
+    identities = [DiagramMap.identity(d) for d in diagrams]
+    composable = [(i, j) for i, m in enumerate(maps) for j in leaving[m.target]]
+    pairs = [(maps[i], maps[j]) for i, j in composable if passing[i] and passing[j]]
+    triples = [(maps[i], maps[j], maps[k]) for i, j in composable for k in leaving[maps[j].target]]
+
+    def neutral(m: DiagramMap) -> bool:
         left = compose_maps(DiagramMap.identity(m.source), m)
-        right = compose_maps(m, DiagramMap.identity(m.target))
-        if left != m or right != m:
-            identity_ok = False
+        return left == m == compose_maps(m, DiagramMap.identity(m.target))
 
-    closure_checked = 0
-    closure_ok = True
-    for i, m1 in enumerate(maps):
-        if not passing[i]:
-            continue
-        for j in leaving[m1.target]:
-            if not passing[j]:
-                continue
-            closure_checked += 1
-            if not check_infomorphism(compose_maps(m1, maps[j])):
-                closure_ok = False
+    def associates(m1: DiagramMap, m2: DiagramMap, m3: DiagramMap) -> bool:
+        return compose_maps(compose_maps(m1, m2), m3) == compose_maps(m1, compose_maps(m2, m3))
 
-    assoc_checked = 0
-    assoc_ok = True
-    for m1 in maps:
-        for j in leaving[m1.target]:
-            m2 = maps[j]
-            for k in leaving[m2.target]:
-                m3 = maps[k]
-                assoc_checked += 1
-                lhs = compose_maps(compose_maps(m1, m2), m3)
-                rhs = compose_maps(m1, compose_maps(m2, m3))
-                if lhs != rhs:
-                    assoc_ok = False
-
+    identity_failures = chain(
+        ((i,) for i in identities if not check_infomorphism(i)),
+        ((m,) for m in maps if not neutral(m)),
+    )
     return CategoryLawReport(
         (
-            LawResult("identity", identity_ok, identity_checked),
-            LawResult("composition-closure", closure_ok, closure_checked),
-            LawResult(
-                "associativity",
-                assoc_ok,
-                assoc_checked,
-                "" if assoc_ok else "function composition failed to associate",
-            ),
+            _law("identity", len(identities) + len(maps), identity_failures),
+            _law("composition-closure", len(pairs),
+                 (p for p in pairs if not check_infomorphism(compose_maps(*p)))),
+            _law("associativity", len(triples), (t for t in triples if not associates(*t))),
         ),
         excluded,
     )
+
+
+def _law(law: str, checked: int, failing: Iterator[tuple[DiagramMap, ...]]) -> LawCheck:
+    counterexample = next(failing, None)
+    return LawCheck(law, None, counterexample is None, checked, counterexample)
 
 
 @record

@@ -333,21 +333,14 @@ def certify(order: IFRelation) -> LatticeCertification:
     antisymmetric = is_perfectly_antisymmetric(order)
     transitive = is_transitive(order)
     partial = reflexive and antisymmetric and transitive
-    if not partial:
-        return LatticeCertification(
-            reflexive, antisymmetric, transitive, False, None, None, None,
-            "preconditions-unmet", False,
-        )
-    lattice = IFLattice(order)
-    if not lattice.is_lattice:
-        return LatticeCertification(
-            reflexive, antisymmetric, transitive, True, False, None, None,
-            "preconditions-unmet", False,
-        )
-    boolean = lattice.is_if_boolean_algebra
+    lattice = IFLattice(order) if partial else None
+    is_lattice = lattice.is_lattice if partial else None
+    boolean = bool(is_lattice) and lattice.is_if_boolean_algebra
     return LatticeCertification(
-        reflexive, antisymmetric, transitive, True, True, lattice.is_distributive,
-        lattice.is_complemented, "holds" if boolean else "preconditions-unmet", boolean,
+        reflexive, antisymmetric, transitive, partial, is_lattice,
+        lattice.is_distributive if is_lattice else None,
+        lattice.is_complemented if is_lattice else None,
+        "holds" if boolean else "preconditions-unmet", boolean,
     )
 
 

@@ -663,6 +663,27 @@ class TestErrorsBecomeExitCodes:
         path.write_text(json.dumps({f"p{i}": "1/2" for i in range(MAX_POINTS)}))
         assert run(capsys, "validate", str(path)) == (0, f"OK: fuzzy-set ({MAX_POINTS} points)\n", "")
 
+    def test_file_over_the_byte_cap_is_refused_unread(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "big.json"
+        with open(path, "wb") as fh:
+            fh.truncate(cli.MAX_FILE_BYTES + 1)  # sparse: no block is written
+
+        def unread(fh):
+            raise AssertionError("an oversized file was read")
+
+        monkeypatch.setattr(json, "load", unread)
+        assert run(capsys, "validate", str(path)) == (
+            1, "", f"error: {path}: file larger than {cli.MAX_FILE_BYTES} bytes refused\n"
+        )
+
+    def test_file_at_the_byte_cap_is_read(self, tmp_path, capsys):
+        path = tmp_path / "cap.json"
+        with open(path, "wb") as fh:
+            fh.truncate(cli.MAX_FILE_BYTES)
+        assert run(capsys, "validate", str(path)) == (
+            2, "", f"error: {path}: line 1, column 1: Expecting value\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_wide_label_table_is_printed_as_json_only(self, tmp_path, capsys, fmt):
         path = tmp_path / "wide.json"

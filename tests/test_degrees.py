@@ -225,6 +225,33 @@ class TestContradictionDegree:
             result = contradiction_degree(a, b, KD)
         assert result == (min(expected.values()), expected)
 
+    @pytest.mark.parametrize("ops", ALL_OPS)
+    def test_each_point_is_validated_once(self, monkeypatch, ops):
+        # the sets hold checked degrees: only the negation's result is checked
+        a = FuzzySet.from_mapping({"x": "1/2", "y": "1/3", "z": "1", "w": "0"})
+        b = FuzzySet.from_mapping({"x": "1/5", "y": "1", "z": "0", "w": "3/7"})
+        expected = contradiction_degree(a, b, ops)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return degree(value)
+
+        monkeypatch.setattr(degrees, "degree", counted)
+        assert contradiction_degree(a, b, ops) == expected
+        assert len(calls) == len(a.domain)
+
+    def test_a_bad_registered_negation_is_still_refused(self):
+        from squareop.degrees import NEGATIONS, register_negation
+
+        register_negation("overshoot", lambda a: 1 + a)
+        try:
+            a = FuzzySet.constant(("x",), "1/2")
+            with pytest.raises(ValueError, match="outside"):
+                contradiction_degree(a, a, OperatorChoice(negation="overshoot"))
+        finally:
+            NEGATIONS.pop("overshoot")
+
     def test_godel_is_not_argument_symmetric(self):
         a = FuzzySet.from_mapping({"x": "9/10"})
         b = FuzzySet.from_mapping({"x": "1/2"})

@@ -439,6 +439,104 @@ class TestCategoryLaws:
         assert report.all_pass
 
 
+class TestCategoryLawWitnesses:
+    """Each law keeps the first failing case, in the documented order, as its
+    counterexample: identity runs over each diagram's identity map, then each
+    sample map; closure over each composable pair of passing maps; and
+    associativity over each composable triple."""
+
+    @staticmethod
+    def sample():
+        return [m for t in composable_infomorphism_triples(random.Random(23), 6) for m in t]
+
+    @staticmethod
+    def cases(maps, compose, check):
+        """Each law's cases in order, with the re-check that fails a case."""
+        diagrams = []
+        for m in maps:
+            for d in (m.source, m.target):
+                if d not in diagrams:
+                    diagrams.append(d)
+        passing = [check(m) for m in maps]
+        pairs = [(a, b) for a in maps for b in maps if a.target == b.source]
+        return {
+            "identity": (
+                [(DiagramMap.identity(d),) for d in diagrams] + [(m,) for m in maps],
+                lambda n, m: not check(m) if n < len(diagrams) else (
+                    compose(DiagramMap.identity(m.source), m) != m
+                    or compose(m, DiagramMap.identity(m.target)) != m),
+            ),
+            "composition-closure": (
+                [(a, b) for i, a in enumerate(maps) for j, b in enumerate(maps)
+                 if passing[i] and passing[j] and a.target == b.source],
+                lambda n, a, b: not check(compose(a, b)),
+            ),
+            "associativity": (
+                [(a, b, c) for a, b in pairs for c in maps if b.target == c.source],
+                lambda n, a, b, c: compose(compose(a, b), c) != compose(a, compose(b, c)),
+            ),
+        }
+
+    def assert_first_failing_cases(self, maps, clean, compose, check, failing_laws):
+        """``clean`` is the report before the patch; ``compose`` and ``check``
+        are the patched functions."""
+        assert clean.all_pass
+        report = verify_category_laws(maps)
+        assert [r.checked for r in report.laws] == [r.checked for r in clean.laws]
+        cases = self.cases(maps, compose, check)
+        for r in report.laws:
+            listed, fails = cases[r.law]
+            assert r.group is None and r.checked == len(listed)
+            first = next((case for n, case in enumerate(listed) if fails(n, *case)), None)
+            assert r.counterexample == first and r.holds is (first is None)
+            if r.law in failing_laws:
+                # a failing case that is not the first case: a search that
+                # returned the first case, a later one or a passing one differs
+                assert first is not None and listed.index(first) > 0
+            else:
+                assert first is None
+        assert [r.law for r in report.laws if not r.holds] == list(failing_laws)
+
+    def test_faulty_composite(self, monkeypatch):
+        maps = self.sample()
+        clean = verify_category_laws(maps)
+        bad = maps[6]  # composites leaving this map come out shifted
+
+        def faulty(first, second):
+            m = compose_fuzzy_maps(first, second)
+            if first != bad:
+                return m
+            size = len(m.target.fragment)
+            return DiagramMap(m.source, m.target, tuple((j + 1) % size for j in m.mapping))
+
+        monkeypatch.setattr("squareop.fuzzydiagram.compose_maps", faulty)
+        self.assert_first_failing_cases(
+            maps, clean, faulty, check_fuzzy_infomorphism,
+            ("identity", "composition-closure", "associativity"),
+        )
+
+    def test_faulty_infomorphism_check(self, monkeypatch):
+        maps = self.sample()
+        clean = verify_category_laws(maps)
+        identities = list(dict.fromkeys(
+            DiagramMap.identity(d) for m in maps for d in (m.source, m.target)
+        ))
+        composites = [
+            compose_fuzzy_maps(a, b) for a in maps for b in maps if a.target == b.source
+        ]
+        # reject one diagram's identity and one composite, but no sample map,
+        # so the same pairs pass into the closure law
+        rejected = {identities[2], next(c for c in composites[3:] if c not in maps)}
+
+        def faulty(m):
+            return m not in rejected and check_fuzzy_infomorphism(m)
+
+        monkeypatch.setattr("squareop.fuzzydiagram.check_infomorphism", faulty)
+        self.assert_first_failing_cases(
+            maps, clean, compose_fuzzy_maps, faulty, ("identity", "composition-closure"),
+        )
+
+
 class TestAnnotatedSquare:
     def test_balanced_contradiction_annotation(self):
         annotated = annotate_square(F(1, 2))

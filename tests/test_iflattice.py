@@ -311,6 +311,39 @@ class TestBooleanAlgebraCertification:
         assert cert.partial_order and cert.lattice is False
         assert cert.de_morgan == "preconditions-unmet"
 
+    @pytest.mark.parametrize(
+        "order, fields",
+        [
+            # (reflexive, perfectly_antisymmetric, transitive, partial_order,
+            #  lattice, distributive, complemented, de_morgan, if_boolean_algebra)
+            (IFRelation(("x", "y"), ("x", "y"), ((F(1, 2), F(0)), (F(0), F(1))),
+                        ((F(0), F(1)), (F(1), F(0)))),
+             (False, True, True, False, None, None, None, "preconditions-unmet", False)),
+            (IFRelation(("x", "y"), ("x", "y"), ((F(1), F(1, 2)), (F(1, 2), F(1))),
+                        ((F(0), F(1, 2)), (F(1, 2), F(0)))),
+             (True, False, True, False, None, None, None, "preconditions-unmet", False)),
+            (IFRelation.from_bool(("a", "b", "c"), ("a", "b", "c"),
+                                  [[True, True, False], [False, True, True],
+                                   [False, False, True]]),
+             (True, True, False, False, None, None, None, "preconditions-unmet", False)),
+            (bowtie().order,
+             (True, True, True, True, False, None, None, "preconditions-unmet", False)),
+            (diamond_m3().order,
+             (True, True, True, True, True, False, True, "preconditions-unmet", False)),
+            (chain(3).order,
+             (True, True, True, True, True, True, False, "preconditions-unmet", False)),
+            (powerset_lattice(BooleanAlgebra.of(2)).order,
+             (True, True, True, True, True, True, True, "holds", True)),
+        ],
+        ids=["reflexivity", "antisymmetry", "transitivity", "lattice", "distributivity",
+             "complement", "none"],
+    )
+    def test_certify_stops_at_the_first_failing_rung(self, order, fields):
+        cert = certify(order)
+        names = ("reflexive", "perfectly_antisymmetric", "transitive", "partial_order",
+                 "lattice", "distributive", "complemented", "de_morgan", "if_boolean_algebra")
+        assert tuple(getattr(cert, name) for name in names) == fields
+
     def test_certify_checks_each_order_property_once(self, monkeypatch):
         # certify's own checks and IFLattice's partial-order check share them
         calls = Counter()

@@ -1,4 +1,4 @@
-"""The surface of the library's 17 value classes.
+"""The surface of the library's 16 value classes and the ``LawResult`` alias.
 
 They are plain frozen classes (``squareop._record.record``), and keep what
 they had as frozen dataclasses: construction by position or keyword with
@@ -42,7 +42,7 @@ LAT = powerset_lattice(A1)
 S = LAT._structure
 DIAGRAM = Diagram(A1, (TOP,), ("A",))
 CHECK = LawCheck("idempotence", 1, True, 2, None)
-LAW = LawResult("identity", True, 3)
+LAW = LawResult("identity", None, True, 3, None)
 SQUARE = annotate_square(F(1, 4))
 
 # the repr text of the frozen dataclasses these classes were
@@ -53,7 +53,7 @@ ORDER_REPR = (
 )
 DIAGRAM_REPR = "Diagram(algebra=BooleanAlgebra(a), fragment=(Element({a}),), labels=('A',))"
 CHECK_REPR = "LawCheck(law='idempotence', group=1, holds=True, checked=2, counterexample=None)"
-LAW_REPR = "LawResult(law='identity', holds=True, checked=3, detail='')"
+LAW_REPR = "LawCheck(law='identity', group=None, holds=True, checked=3, counterexample=None)"
 SQUARE_REPR = (
     "AnnotatedSquare(diagram=Diagram(algebra=BooleanAlgebra(all, some, none), "
     "fragment=(Element({all}), Element({none}), Element({all,some}), Element({some,none})), "
@@ -62,6 +62,16 @@ SQUARE_REPR = (
     "(IFPair(1, 0), IFPair(1, 0), IFPair(1/2, 1/4), IFPair(1, 0)), "
     "(IFPair(1, 0), IFPair(1/2, 1/4), IFPair(1, 0), IFPair(1, 0)), "
     "(IFPair(1/2, 1/4), IFPair(1, 0), IFPair(1, 0), IFPair(1, 0))))"
+)
+
+# LawResult is LawCheck; its row is a category-law verdict with a map as its witness
+LAW_ROW = (
+    LawResult,
+    {"law": "identity", "group": None, "holds": False, "checked": 3,
+     "counterexample": (DiagramMap(DIAGRAM, DIAGRAM, (0,)),)},
+    ("law", "group", "holds", "checked", "counterexample"),
+    "LawCheck(law='identity', group=None, holds=False, checked=3, counterexample="
+    f"(DiagramMap(source={DIAGRAM_REPR}, target={DIAGRAM_REPR}, mapping=(0,)),))",
 )
 
 # class, its constructor's arguments by name in signature order, its fields
@@ -110,14 +120,13 @@ CASES = [
      ("lattice", "fragment", "labels", "tolerance"),
      f"FuzzyAristotelianDiagram(lattice=IFLattice(order={ORDER_REPR}), fragment=('{{a}}',), "
      "labels=('A',), tolerance=Fraction(1, 10))"),
-    (LawResult, {"law": "identity", "holds": True, "checked": 3, "detail": ""},
-     ("law", "holds", "checked", "detail"), LAW_REPR),
+    LAW_ROW,
     (CategoryLawReport, {"laws": (LAW,), "excluded": (1,)}, ("laws", "excluded"),
      f"CategoryLawReport(laws=({LAW_REPR},), excluded=(1,))"),
     (AnnotatedSquare, {"diagram": SQUARE.diagram, "annotations": SQUARE.annotations},
      ("diagram", "annotations"), SQUARE_REPR),
 ]
-IDS = [case[0].__name__ for case in CASES]
+IDS = ["LawResult" if case is LAW_ROW else case[0].__name__ for case in CASES]
 
 
 def _build(cls, kwargs):
@@ -125,7 +134,7 @@ def _build(cls, kwargs):
 
 
 def test_every_record_class_is_covered():
-    assert len(set(IDS)) == 17
+    assert len(set(IDS)) == 17 and len({case[0] for case in CASES}) == 16
 
 
 @pytest.mark.parametrize("cls, kwargs, fields, text", CASES, ids=IDS)
@@ -163,21 +172,21 @@ def test_frozen_error_is_an_attribute_error():
 
 def test_defaults():
     assert OperatorChoice() == OperatorChoice("standard", "kleene-dienes")
-    assert LawResult("identity", True, 3).detail == ""
+    assert LawResult is LawCheck
     assert Diagram(A1, (TOP,)) == Diagram(A1, (TOP,), ("{a}",))
     fuzzy = FuzzyAristotelianDiagram(LAT, ("{a}",))
     assert fuzzy == FuzzyAristotelianDiagram(LAT, ("{a}",), ("{a}",), DEFAULT_TOLERANCE)
 
 
 def test_generic_constructor_checks_its_arguments():
-    with pytest.raises(TypeError, match="takes 4 arguments, got 5"):
-        LawResult("identity", True, 3, "", "extra")
+    with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
+        LawResult("identity", None, True, 3, None, "extra")
     with pytest.raises(TypeError, match="missing argument 'checked'"):
-        LawResult("identity", True)
+        LawResult("identity", None, True)
     with pytest.raises(TypeError, match="unexpected or repeated argument 'holds'"):
-        LawResult("identity", True, holds=False, checked=3)
+        LawResult("identity", None, True, holds=False, checked=3)
     with pytest.raises(TypeError, match="unexpected or repeated argument 'other'"):
-        LawResult("identity", True, 3, other=1)
+        LawResult("identity", None, True, 3, None, other=1)
 
 
 def test_generic_constructor_runs_post_init():
