@@ -225,6 +225,15 @@ class FuzzySet:
         object.__setattr__(self, "values", tuple(degree(v) for v in values))
 
     @classmethod
+    def _trusted(cls, domain: tuple[str, ...], values: tuple[Fraction, ...]) -> "FuzzySet":
+        """A fuzzy set of distinct labels and validated degrees, as ``jsonio``
+        reads one: no re-check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "domain", domain)
+        object.__setattr__(s, "values", values)
+        return s
+
+    @classmethod
     def from_mapping(cls, membership: Mapping[str, int | str | Fraction]) -> "FuzzySet":
         return cls(tuple(membership), tuple(membership.values()))
 

@@ -28,15 +28,16 @@ improve a composite or closure cell.  The three max-min kernels
 (``compose``, the transitivity check and ``transitive_closure``) therefore
 walk only the support of each row, the columns where nu < 1.
 
-Validation happens once, at the input boundary: the public constructor (and
-``jsonio``, which reports JSON paths) checks labels, shapes and every degree
-through ``degrees.degree``.  Relations computed from other relations
-(composites, closures, samples, relabelings) skip that pass.  Every route
-ends in ``_store``, the one check of the int invariant 0 <= m, 0 <= n,
-m + n <= den, which raises ``DegreeSumError``.  ``_from_cells`` builds the
-int form from degree-string matrices and the degree of each distinct string,
-which ``jsonio`` parsed once per document; ``_build`` takes ints.  Both are
-internal.
+Validation happens once, at the input boundary: the public constructor
+checks labels, shapes and every degree through ``degrees.degree``, and
+``jsonio``, which reports JSON paths, does the same under the same caps.
+Relations computed from other relations (composites, closures, samples,
+relabelings) skip that pass.  Every route ends in ``_store``, the one check
+of the int invariant 0 <= m, 0 <= n, m + n <= den, which raises
+``DegreeSumError``.  ``_from_cells`` builds the int form from degree-string
+matrices and the reduced int pair ``(p, q)`` of each distinct string, which
+``jsonio`` parsed once per document, so no ``Fraction`` is made on the way
+in; ``_build`` takes ints.  Both are internal.
 """
 
 from __future__ import annotations
@@ -153,15 +154,13 @@ class IFRelation:
     @classmethod
     def _from_cells(
         cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence[str]],
-        nu_cells: Sequence[Sequence[str]], degree_of: Mapping[str, Fraction],
+        nu_cells: Sequence[Sequence[str]], pair_of: Mapping[str, tuple[int, int]], den: int,
     ) -> "IFRelation":
-        """Internal constructor for ``jsonio``: degree-string matrices it
-        checked for shape, and the validated degree of each distinct string
-        (no other key, so the lcm of their denominators is canonical)."""
-        _check_labels(source, "source")
-        _check_labels(target, "target")
-        den = lcm(*{d.denominator for d in degree_of.values()})
-        ints = {text: d.numerator * (den // d.denominator) for text, d in degree_of.items()}
+        """Internal constructor for ``jsonio``: labels and degree-string
+        matrices it checked, the validated degree of each distinct string as
+        a reduced ``(p, q)`` (no other key), and ``den``, the lcm of their
+        ``q``, which is therefore canonical."""
+        ints = {text: p * (den // q) for text, (p, q) in pair_of.items()}
         m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
         n = tuple(tuple(map(ints.__getitem__, row)) for row in nu_cells)
         return object.__new__(cls)._store(source, target, den, m, n)

@@ -5,8 +5,13 @@ arrays.  Parsers validate shape and invariants and raise InputFormatError
 with the offending JSON path, which the CLI maps to exit code 2.  Degree
 strings are bounded as ``degrees.degree`` documents (length, exponent and
 denominator caps) before any arithmetic.  Each distinct degree string is
-parsed once per document, and an error still names the first cell that
-holds the bad string.
+parsed once per document, to a reduced int pair ``(p, q)``: plain ASCII
+"p" and "p/q" straight to ints under the same caps, every other spelling
+through ``degrees.degree``.  An error still names the first cell that holds
+the bad string.  ``Fraction`` degrees (``degrees.Degree``) are made only for
+the API surface and error messages.  A relation whose distinct degrees
+would need more than ``MAX_DENOMINATOR_BITS`` bits over their common
+denominator is refused before any int cell is built.
 
 Schemas:
 
@@ -22,15 +27,14 @@ Schemas:
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Any
 
 from .algebra import BooleanAlgebra, Element
-from .degrees import FuzzySet, degree
+from .degrees import MAX_DEGREE_DENOMINATOR, MAX_DEGREE_TEXT, Degree, FuzzySet, degree
 from .diagram import Diagram
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .degrees import IFPair
     from .fuzzydiagram import FuzzyAristotelianDiagram
     from .iflattice import IFLattice, LatticeCertification
@@ -51,6 +55,15 @@ MAX_RELATION = 200
 #: parsed: ``contradiction`` on two sets of 65 536 points takes about
 #: 1.5 s end to end.
 MAX_POINTS = 65536
+
+#: The most bits a relation's distinct int cells may take together: the
+#: common denominator's bit length times the number of distinct degree
+#: strings (16 MiB of ints).  Checked while the lcm of the denominators is
+#: taken, before any int cell is built: a relation of 40 elements whose
+#: cells have distinct 128-bit denominators passes it.
+MAX_DENOMINATOR_BITS = 2**27
+
+Pair = tuple[int, int]
 
 
 class InputFormatError(ValueError):
@@ -89,18 +102,66 @@ def _expect_str(obj: Any, path: str) -> str:
     return obj
 
 
-def _degree(obj: Any, path: str, memo: dict[str, Fraction]) -> Fraction:
-    """The degree a JSON string names.  ``memo`` holds the strings of the
-    document parsed so far; only successes enter it, so a bad string raises
-    at the first cell that holds it, and a non-string never matches."""
+def _degree(obj: Any, path: str, memo: dict[str, Pair]) -> Pair:
+    """The degree a JSON string names, as a reduced ``(p, q)`` parsed by
+    ``degrees.degree``.  ``memo`` holds the strings of the document parsed
+    so far; only successes enter it, so a bad string raises at the first
+    cell that holds it, and a non-string never matches."""
     if type(obj) is str and obj in memo:
         return memo[obj]
     text = _expect_str(obj, path)
     try:
-        d = memo[text] = degree(text)
+        d = degree(text)
     except ValueError as exc:
         raise InputFormatError(str(exc), path) from None
-    return d
+    pair = memo[text] = d.numerator, d.denominator
+    return pair
+
+
+def _fast_degrees(rows: Any, memo: dict[str, Pair]) -> bool:
+    """Parse every cell of ``rows`` not yet in ``memo`` into it and return
+    True, if each is a plain ASCII "p" or "p/q" string that reduces to a
+    degree within the caps.  Otherwise leave ``memo`` as it was and return
+    False: the caller's cell-by-cell loop then names the first bad cell, and
+    every other spelling goes through ``degrees.degree``."""
+    try:
+        new = set().union(*rows).difference(memo)
+    except TypeError:  # an unhashable cell
+        return False
+    pairs = {}
+    for text in new:
+        if type(text) is not str or len(text) > MAX_DEGREE_TEXT or not text.isascii():
+            return False
+        p, slash, q = text.partition("/")
+        # on ASCII text isdigit() means [0-9]+, which int() reads as written
+        if not p.isdigit() or (slash and not q.isdigit()):
+            return False
+        p, q = int(p), int(q) if slash else 1
+        if q == 0 or p > q:
+            return False
+        g = gcd(p, q)
+        if g > 1:
+            p, q = p // g, q // g
+        if q > MAX_DEGREE_DENOMINATOR:
+            return False
+        pairs[text] = p, q
+    memo.update(pairs)
+    return True
+
+
+def _common_denominator(memo: dict[str, Pair]) -> int:
+    """The lcm of the denominators in ``memo``, taken one at a time and
+    refused as soon as ``MAX_DENOMINATOR_BITS`` is passed."""
+    den = 1
+    for q in {q for _, q in memo.values()}:
+        den = lcm(den, q)
+        if den.bit_length() * len(memo) > MAX_DENOMINATOR_BITS:
+            # well-formed but too large: a refusal, not exit 2
+            raise ValueError(
+                f"common denominator refused: its {den.bit_length()}+ bits times "
+                f"{len(memo)} distinct degrees exceed {MAX_DENOMINATOR_BITS} bits"
+            )
+    return den
 
 
 def _string_list(obj: Any, path: str) -> tuple[str, ...]:
@@ -185,18 +246,21 @@ def kind_table_to_json(labels: tuple[str, ...], table) -> dict:
 # relations / lattices
 
 def _degree_matrix(
-    obj: Any, rows: int, cols: int, path: str, memo: dict[str, Fraction]
+    obj: Any, rows: int, cols: int, path: str, memo: dict[str, Pair]
 ) -> list[list[str]]:
     """``obj`` checked as a rows x cols matrix of degree strings, each of
     which ``memo`` then maps to its degree."""
     matrix = _expect_list(obj, path)
     _expect(len(matrix) == rows, f"expected {rows} rows, got {len(matrix)}", path)
     for i, row in enumerate(matrix):
-        _expect_list(row, f"{path}[{i}]")
-        _expect(len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]")
-        for j, cell in enumerate(row):
-            if type(cell) is not str or cell not in memo:  # the path only for a new string
-                _degree(cell, f"{path}[{i}][{j}]", memo)
+        if type(row) is not list or len(row) != cols:  # the messages only on a failure
+            _expect_list(row, f"{path}[{i}]")
+            _expect(len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]")
+    if not _fast_degrees(matrix, memo):
+        for i, row in enumerate(matrix):
+            for j, cell in enumerate(row):
+                if type(cell) is not str or cell not in memo:  # the path only for a new string
+                    _degree(cell, f"{path}[{i}][{j}]", memo)
     return matrix
 
 
@@ -210,7 +274,7 @@ def relation_to_json(r: IFRelation, key: str = "set") -> dict:
     }
 
 def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
-    from .ifrel import DegreeSumError, IFRelation
+    from .ifrel import DegreeSumError, IFRelation, _check_labels
 
     record = _expect_object(obj, path)
     if "set" in record:
@@ -227,18 +291,20 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
     for mkey in ("mu", "nu"):
         _expect(mkey in record, f'missing key "{mkey}"', path)
     n = len(labels)
-    memo: dict[str, Fraction] = {}
+    memo: dict[str, Pair] = {}
     mu = _degree_matrix(record["mu"], n, n, f"{path}.mu", memo)
     nu = _degree_matrix(record["nu"], n, n, f"{path}.nu", memo)
     try:
-        return IFRelation._from_cells(labels, labels, mu, nu, memo)
-    except DegreeSumError as exc:
-        i, j = exc.cell
-        raise InputFormatError(
-            f"mu + nu = {memo[mu[i][j]] + memo[nu[i][j]]} exceeds 1", f"{path}.mu[{i}][{j}]"
-        ) from None
+        _check_labels(labels, "source")
     except ValueError as exc:  # duplicate or blank labels
         raise InputFormatError(str(exc), f"{path}.{key}") from None
+    den = _common_denominator(memo)
+    try:
+        return IFRelation._from_cells(labels, labels, mu, nu, memo, den)
+    except DegreeSumError as exc:
+        i, j = exc.cell
+        total = Degree(*memo[mu[i][j]]) + Degree(*memo[nu[i][j]])
+        raise InputFormatError(f"mu + nu = {total} exceeds 1", f"{path}.mu[{i}][{j}]") from None
 
 
 def lattice_to_json(lattice: IFLattice) -> dict:
@@ -270,13 +336,15 @@ def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
     _expect(len(record) >= 1, "fuzzy set must not be empty", path)
     if len(record) > MAX_POINTS:
         raise ValueError(f"fuzzy set larger than {MAX_POINTS} points refused")
-    domain = []
-    values = []
-    memo: dict[str, Fraction] = {}
+    memo: dict[str, Pair] = {}
+    fast = _fast_degrees((record.values(),), memo)
     for label, value in record.items():
-        domain.append(_expect_str(label, path))
-        values.append(_degree(value, f"{path}.{label}", memo))
-    return FuzzySet(tuple(domain), tuple(values))
+        _expect_str(label, path)
+        if not fast:
+            _degree(value, f"{path}.{label}", memo)
+    made = {text: Degree(p, q) for text, (p, q) in memo.items()}
+    # the keys of a JSON object are distinct, and every value is a checked degree
+    return FuzzySet._trusted(tuple(record), tuple(map(made.__getitem__, record.values())))
 
 
 def ifpair_to_json(p: IFPair) -> dict:
@@ -305,7 +373,7 @@ def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagr
         labels = _string_list(record["labels"], f"{path}.labels")
     tolerance = DEFAULT_TOLERANCE
     if "tolerance" in record:
-        tolerance = _degree(record["tolerance"], f"{path}.tolerance", {})
+        tolerance = Degree(*_degree(record["tolerance"], f"{path}.tolerance", {}))
     _expect(len(fragment) >= 1, "fragment must not be empty", f"{path}.fragment")
     _expect(len(set(fragment)) == len(fragment), "fragment elements must be distinct",
             f"{path}.fragment")

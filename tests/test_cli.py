@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,11 +20,13 @@ from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
 from squareop.iflattice import IFLattice, powerset_lattice
 from squareop.ifrel import IFRelation
 from squareop.jsonio import (
+    MAX_DENOMINATOR_BITS,
     MAX_POINTS,
     MAX_RELATION,
     diagram_to_json,
     fuzzy_diagram_to_json,
     lattice_to_json,
+    relation_from_json,
 )
 
 # exact stdout for the canonical square and its fuzzy embedding
@@ -583,6 +586,20 @@ def _dense_relation(n):
     }
 
 
+def _one_over_random_q(n, k):
+    """An n-element relation whose first k cells, mu then nu in row order,
+    hold 1/q for seeded-random q in [2**127, 2**128], and the rest 0."""
+    rng = random.Random(7)
+    cells = [f"1/{rng.randint(2**127, 2**128)}" for _ in range(k)] + ["0"] * (2 * n * n - k)
+    rows = [cells[i:i + n] for i in range(0, 2 * n * n, n)]
+    return {"set": [f"e{i}" for i in range(n)], "mu": rows[:n], "nu": rows[n:]}
+
+
+# 40 elements, each of the 3 200 cells over its own 128-bit denominator: the
+# common denominator times the distinct degrees passes MAX_DENOMINATOR_BITS
+OVER_DENOMINATOR_LIMIT = _one_over_random_q(40, 3200)
+
+
 ELEVEN_FRAGMENT = {
     "algebra": {"atoms": ["a", "b", "c", "d"]},
     "fragment": [["a"], ["b"], ["c"], ["d"], ["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
@@ -631,6 +648,8 @@ class TestErrorsBecomeExitCodes:
             (["contradiction", "IN"], OVER_POINT_LIMIT, 1,
              f"fuzzy set larger than {MAX_POINTS} points refused"),
             (["validate", "IN"], OVER_POINT_LIMIT, 1, f"larger than {MAX_POINTS} points refused"),
+            *((argv, OVER_DENOMINATOR_LIMIT, 1, "common denominator refused")
+              for argv in (["ifrel-check", "IN"], ["lattice-check", "IN"], ["validate", "IN"])),
             (["category-check", "--triples", str(MAX_TRIPLES + 1)], None, 1,
              f"more than {MAX_TRIPLES} triples refused"),
             (["classify", "IN"], WIDE_LABEL, 1, "characters refused: use --format json"),
@@ -639,6 +658,7 @@ class TestErrorsBecomeExitCodes:
              "iso-1025", "info-1025", "iso-map", "info-map", "ifrel-dup", "lattice-dup",
              "ifrel-blank", "lattice-17", "lattice-17-non-order", "ifrel-201", "lattice-201",
              "validate-201", "fuzzy-classify-201", "contradiction-65537", "validate-65537",
+             "ifrel-denominator", "lattice-denominator", "validate-denominator",
              "category-check-251", "classify-wide-label"],
     )
     def test_refusal_without_traceback(self, tmp_path, square_file, capsys, argv, payload,
@@ -657,6 +677,29 @@ class TestErrorsBecomeExitCodes:
         path.write_text(json.dumps(_discrete_relation([f"e{i}" for i in range(MAX_RELATION)])))
         code, out, _ = run(capsys, "ifrel-check", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["partial_order"] is True
+
+    def test_distinct_denominators_are_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="common denominator refused"):
+            relation_from_json(OVER_DENOMINATOR_LIMIT)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("k", [1062, 1063])
+    def test_relation_at_the_denominator_limit_is_read(self, tmp_path, capsys, k):
+        # 33 elements whose first k mu cells hold distinct 128-bit
+        # denominators: with "0", k + 1 distinct degrees; 1 062 is the most
+        # that these draws keep within MAX_DENOMINATOR_BITS
+        doc = _one_over_random_q(33, k)
+        den = math.lcm(*(int(c[2:]) for row in doc["mu"] for c in row if c != "0"))
+        assert (den.bit_length() * (k + 1) <= MAX_DENOMINATOR_BITS) == (k == 1062)
+        path = tmp_path / "denominators.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ifrel-check", str(path), "--format", "json")
+        assert code == 1
+        if k == 1062:
+            assert json.loads(out)["partial_order"] is False and err == ""
+        else:
+            assert out == "" and err.startswith("error: common denominator refused")
 
     def test_fuzzy_set_at_the_point_limit_is_read(self, tmp_path, capsys):
         path = tmp_path / "points.json"

@@ -55,12 +55,25 @@ def _crisp_order(labels, leq) -> dict:
     }
 
 
+def _one_over_random_q(n: int, k: int) -> dict:
+    """An n-element relation whose first k cells, mu then nu in row order,
+    hold 1/q for seeded-random q in [2**127, 2**128], and the rest 0."""
+    rng = random.Random(7)
+    cells = [f"1/{rng.randint(2**127, 2**128)}" for _ in range(k)] + ["0"] * (2 * n * n - k)
+    rows = [cells[i:i + n] for i in range(0, 2 * n * n, n)]
+    return {"set": [f"e{i}" for i in range(n)], "mu": rows[:n], "nu": rows[n:]}
+
+
 ORDERS = [
     _crisp_order([f"e{i}" for i in range(17)], lambda i, j: i == j),  # over the carrier limit
     _crisp_order([f"e{i}" for i in range(16)], lambda i, j: i == j),  # not a lattice
     _crisp_order(["a", "b", "c"], lambda i, j: i <= j),  # a chain: not complemented
     _crisp_order([f"e{i}" for i in range(MAX_RELATION)], lambda i, j: i == j),  # the set limit
     _crisp_order([f"e{i}" for i in range(MAX_RELATION + 1)], lambda i, j: i == j),  # refused
+    # the common-denominator limit (these draws keep 1 062 distinct 128-bit
+    # denominators within MAX_DENOMINATOR_BITS) and one denominator past it
+    _one_over_random_q(33, 1062),
+    _one_over_random_q(33, 1063),
 ] + [lattice_to_json(powerset_lattice(BooleanAlgebra.of(k))) for k in range(1, 5)]
 
 SQUARE = diagram_to_json(canonical_square())

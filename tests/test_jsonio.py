@@ -11,6 +11,7 @@ from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
 from squareop.ifrel import DegreeSumError, IFRelation, identity_relation
+from squareop import jsonio
 from squareop.jsonio import (
     MAX_FRAGMENT,
     InputFormatError,
@@ -329,7 +330,11 @@ def _degree_texts(draw, upper=Fraction(1)):
     q = draw(st.sampled_from(_DENOMINATORS))
     f = Fraction(draw(st.integers(0, int(upper * q))), q)
     k = draw(st.integers(1, 3))
-    forms = [str(f), f"{f.numerator * k}/{f.denominator * k}"]
+    p, q = f.numerator, f.denominator
+    big = 2**129 // q + 1  # scaled past the denominator cap, reduced under it
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    forms = [str(f), f"{p * k}/{q * k}", f"00{p}/0{q}", f"+{f}", str(f).translate(arabic),
+             f"{p * big}/{q * big}"]
     if 10**6 % f.denominator == 0:
         forms += [str(Decimal(f.numerator) / Decimal(f.denominator)),
                   f"{f.numerator * 10**6 // f.denominator}e-6"]
@@ -361,13 +366,18 @@ def _valid_documents(draw):
 _BAD_CELLS = [
     1, 0, True, False, None, [], ["1"], {}, 0.5,  # not strings
     LONE, "1/2" + LONE,  # lone surrogates
-    "0." + "0" * 120, " " * 100 + "1",  # over 100 characters
+    "0." + "0" * 120, " " * 100 + "1", "1/" + "0" * 98 + "2",  # over 100 characters
     "1e-101", "1E+101", "1e-" + "\uff11" * 3,  # exponents beyond +-100
     "1/" + str(2**128 + 1), "1/" + str(2**130),  # denominators over 2**128
     "3/2", "-1/4", "2", "1.5",  # outside [0, 1]
-    "", "abc", "1/0", "0x1",  # not degrees
+    "", "abc", "1/0", "0x1", "0/0", "1/", "/2", "1/2/3", "\u00b2",  # not degrees
 ]
-_SUMMING_CELLS = ["0", "1", "1/2", "2/4", "3/4", "0.75", "1/3", "2/3", "1/1000000007"]
+_SUMMING_CELLS = [
+    "0", "1", "1/2", "2/4", "3/4", "0.75", "1/3", "2/3", "1/1000000007",
+    "007/010", "00", "+1/2", "\u0661/\u0662", "2/" + str(2**129),
+    "1/" + "0" * 97 + "2",  # exactly 100 characters
+    "1_0/2_0",  # a degree from Python 3.11 on, malformed before
+]
 
 
 @st.composite
@@ -410,3 +420,89 @@ class TestAgainstCellByCellParse:
         error = _outcome(relation_from_json, doc)[1]
         assert error is not None and error[1] == "$.mu[0][1]"
         assert error == _outcome(_reference_relation, doc)[1]
+
+    @pytest.mark.parametrize("bad", _BAD_CELLS)
+    def test_bad_cell_after_plain_cells(self, bad):
+        # mu reads on the plain-ASCII path; nu meets the bad cell last
+        doc = {"set": ["x", "y"], "mu": [["1", "1/2"], ["0", "1"]],
+               "nu": [["0", "1/4"], ["007/008", bad]]}
+        error = _outcome(relation_from_json, doc)[1]
+        assert error is not None and error[1] == "$.nu[1][1]"
+        assert error == _outcome(_reference_relation, doc)[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["p", "q", "r", "s", LONE]),
+                           st.sampled_from(_BAD_CELLS + _SUMMING_CELLS) | _degree_texts(),
+                           min_size=1, max_size=4))
+    def test_fuzzy_sets(self, doc):
+        got, error = _outcome(fuzzy_set_from_json, doc)
+        want, ref_error = _outcome(_reference_fuzzy_set, doc)
+        assert error == ref_error
+        assert got == want
+        if got is not None:
+            assert all(type(v) is Fraction for v in got.values)
+
+    def test_fuzzy_set_of_plain_degrees_calls_no_degree(self, monkeypatch):
+        import squareop.degrees
+        import squareop.jsonio
+
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return degree(value)
+
+        monkeypatch.setattr(squareop.degrees, "degree", counted)
+        monkeypatch.setattr(squareop.jsonio, "degree", counted)
+        doc = {f"p{i}": f"{i}/7" for i in range(8)}
+        s = fuzzy_set_from_json(doc)
+        assert calls == []
+        assert s == FuzzySet(tuple(doc), tuple(Fraction(i, 7) for i in range(8)))
+
+
+def _reference_fuzzy_set(doc):
+    """``fuzzy_set_from_json`` on a non-empty ``doc`` as a point-by-point
+    parse and the public constructor, with the same messages and paths."""
+    domain, values = [], []
+    for label, value in doc.items():
+        domain.append(_expect_str(label, "$"))
+        path = f"$.{label}"
+        text = _expect_str(value, path)
+        try:
+            values.append(degree(text))
+        except ValueError as exc:
+            raise InputFormatError(str(exc), path) from None
+    return FuzzySet(tuple(domain), tuple(values))
+
+
+def _relation(cells):
+    """A 2-element relation whose mu cells are ``cells`` and whose nu cells are 0."""
+    return {"set": ["x", "y"], "mu": [cells[:2], cells[2:]], "nu": [["0", "0"], ["0", "0"]]}
+
+
+class TestCommonDenominatorBound:
+    """A relation's distinct int cells are bounded by MAX_DENOMINATOR_BITS
+    before any is built; the limit itself is tested in test_cli.py."""
+
+    DOC = _relation(["1/3", "1/5", "1/7", "1/11"])  # den 1155, 11 bits, 5 distinct with "0"
+
+    def test_at_the_bound_is_read(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 11 * 5)
+        assert relation_from_json(self.DOC).den == 1155
+
+    def test_past_the_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 11 * 5 - 1)
+        with pytest.raises(ValueError, match="common denominator refused") as info:
+            relation_from_json(self.DOC)
+        assert not isinstance(info.value, InputFormatError)
+
+    @pytest.mark.parametrize("doc, path", [
+        (_relation(["1/3", "1/5", "1/7", "3/2"]), "$.mu[1][1]"),
+        (_relation(["1/3", "1/5", "1/7", 1]), "$.mu[1][1]"),
+        (dict(_relation(["1/3", "1/5", "1/7", "1/11"]), set=["x", "x"]), "$.set"),
+    ], ids=["out-of-range", "not-a-string", "duplicate-label"])
+    def test_malformed_input_is_named_first(self, monkeypatch, doc, path):
+        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 1)
+        with pytest.raises(InputFormatError) as info:
+            relation_from_json(doc)
+        assert info.value.path == path
