@@ -4,10 +4,11 @@
 from its field annotations, by closures instead of ``exec``: ``==`` (other
 classes get ``NotImplemented``), ``hash`` of the field tuple, ``repr``, and
 an ``AttributeError`` on assignment or deletion.  A generic ``__init__``
-takes the fields positionally or by keyword, with class-level defaults, and
-then runs ``__post_init__`` if the class has one.  Fields are set with
-``object.__setattr__``, and pickling, ``copy`` and
-``functools.cached_property`` work as on any plain class.
+takes every field, positionally or by keyword, and then runs
+``__post_init__`` if the class has one; a class with defaults writes its
+own ``__init__``.  Fields are set with ``object.__setattr__``, and
+pickling, ``copy`` and ``functools.cached_property`` work as on any plain
+class.
 
 A method the class body defines wins.  Classes built in bulk write their
 own ``__init__``, and classes compared or hashed in bulk their own ``==``
@@ -26,7 +27,6 @@ class FrozenInstanceError(AttributeError):
 
 def record(cls: type) -> type:
     fields = tuple(cls.__annotations__)
-    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs) -> None:
@@ -38,13 +38,9 @@ def record(cls: type) -> type:
                 raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
             values[name] = value
         for name in fields:
-            if name in values:
-                value = values[name]
-            elif name in defaults:
-                value = defaults[name]
-            else:
+            if name not in values:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, values[name])
         if post_init is not None:
             self.__post_init__()
 

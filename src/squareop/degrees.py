@@ -10,12 +10,15 @@ most ``MAX_DEGREE_TEXT`` characters and a decimal exponent of magnitude at
 most ``MAX_DEGREE_EXPONENT``, and every degree's reduced denominator is at
 most ``MAX_DEGREE_DENOMINATOR``.  A relation's degrees share one common
 denominator, so one unbounded cell would otherwise inflate all the others.
+``_plain`` reads plain ASCII "p" and "p/q" straight to a reduced int pair
+under the same caps, and leaves every other spelling to ``degree``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from ._record import record
@@ -37,6 +40,22 @@ MAX_DEGREE_DENOMINATOR = 2**128
 # Fraction()'s own exponent grammar: \d is any Unicode decimal digit, which
 # int() reads too, so "1e-" followed by fullwidth digits is capped as well
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
+def _plain(text: str) -> tuple[int, int] | None:
+    """The reduced ``(p, q)`` of a plain ASCII "p" or "p/q" degree string
+    within the caps; None for any other string, valid or not."""
+    p, slash, q = text.partition("/")
+    # on ASCII text isdigit() means [0-9]+, which int() reads as written
+    if not (len(text) <= MAX_DEGREE_TEXT and text.isascii() and p.isdigit()
+            and (q.isdigit() or not slash)):
+        return None
+    p, q = int(p), int(q) if slash else 1
+    if q == 0 or p > q:
+        return None
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return (p, q) if q <= MAX_DEGREE_DENOMINATOR else None
 
 
 def degree(value: int | str | Fraction) -> Fraction:

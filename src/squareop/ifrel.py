@@ -29,15 +29,14 @@ improve a composite or closure cell.  The three max-min kernels
 walk only the support of each row, the columns where nu < 1.
 
 Validation happens once, at the input boundary: the public constructor
-checks labels, shapes and every degree through ``degrees.degree``, and
-``jsonio``, which reports JSON paths, does the same under the same caps.
+checks labels, every degree through ``degrees.degree``, and shapes;
+``jsonio``, which reports JSON paths, does the same.  Both build through
+``_from_cells`` from each distinct cell's reduced int pair ``(p, q)``,
+which refuses a common denominator past ``MAX_DENOMINATOR_BITS``.
 Relations computed from other relations (composites, closures, samples,
-relabelings) skip that pass.  Every route ends in ``_store``, the one check
-of the int invariant 0 <= m, 0 <= n, m + n <= den, which raises
-``DegreeSumError``.  ``_from_cells`` builds the int form from degree-string
-matrices and the reduced int pair ``(p, q)`` of each distinct string, which
-``jsonio`` parsed once per document, so no ``Fraction`` is made on the way
-in; ``_build`` takes ints.  Both are internal.
+relabelings) skip that pass; ``_build`` takes their ints.  Every route ends
+in ``_store``, the one check of the int invariant 0 <= m, 0 <= n,
+m + n <= den, which raises ``DegreeSumError``.
 """
 
 from __future__ import annotations
@@ -46,13 +45,20 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from ._record import record
 from .degrees import IFPair, degree
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+
+#: The most bits a relation's distinct int cells may take together: the
+#: common denominator's bit length times the number of distinct degrees
+#: (16 MiB of ints).  Checked while the lcm of the denominators is taken,
+#: before any int cell is built: a relation of 40 elements whose cells have
+#: distinct 128-bit denominators passes it.
+MAX_DENOMINATOR_BITS = 2**27
 
 
 def _check_labels(labels: tuple[str, ...], role: str) -> None:
@@ -79,6 +85,21 @@ def _bad_cell(den: int, m: IntMatrix, n: IntMatrix) -> tuple[int, int] | None:
             if a < 0 or b < 0 or a + b > den:
                 return i, j
     return None
+
+
+def _common_denominator(pair_of: Mapping[Hashable, tuple[int, int]]) -> int:
+    """The lcm of the denominators in ``pair_of``, taken one at a time and
+    refused as soon as ``MAX_DENOMINATOR_BITS`` is passed."""
+    den = 1
+    for q in {q for _, q in pair_of.values()}:
+        den = lcm(den, q)
+        if den.bit_length() * len(pair_of) > MAX_DENOMINATOR_BITS:
+            # well-formed but too large: a refusal, not a malformed input
+            raise ValueError(
+                f"common denominator refused: its {den.bit_length()}+ bits times "
+                f"{len(pair_of)} distinct degrees exceed {MAX_DENOMINATOR_BITS} bits"
+            )
+    return den
 
 
 def _fractions(ints: IntMatrix, den: int) -> Matrix:
@@ -120,18 +141,17 @@ class IFRelation:
         source, target = tuple(self.source), tuple(self.target)
         _check_labels(source, "source")
         _check_labels(target, "target")
-        mu = tuple(tuple(degree(v) for v in row) for row in self.__dict__.pop("mu"))
-        nu = tuple(tuple(degree(v) for v in row) for row in self.__dict__.pop("nu"))
+        # keyed by each cell's checked, reduced (p, q): never by the raw cell
+        # (True == 1), nor by the Fraction, which hashes at Python speed
+        raw = self.__dict__
+        mu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in raw.pop("mu"))
+        nu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in raw.pop("nu"))
         rows, cols = len(source), len(target)
         for name, matrix in (("mu", mu), ("nu", nu)):
             if len(matrix) != rows or any(len(r) != cols for r in matrix):
                 raise ValueError(f"{name} matrix must be {rows}x{cols}")
-        den = lcm(*(d.denominator for row in chain(mu, nu) for d in row))
-
-        def ints(matrix: Matrix) -> IntMatrix:
-            return tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in matrix)
-
-        self._store(source, target, den, ints(mu), ints(nu))
+        pair_of = {pair: pair for pair in set(chain(*mu, *nu))}
+        vars(self).update(vars(self._from_cells(source, target, mu, nu, pair_of)))
 
     def _store(
         self, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
@@ -153,14 +173,15 @@ class IFRelation:
 
     @classmethod
     def _from_cells(
-        cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence[str]],
-        nu_cells: Sequence[Sequence[str]], pair_of: Mapping[str, tuple[int, int]], den: int,
+        cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence],
+        nu_cells: Sequence[Sequence], pair_of: Mapping[Hashable, tuple[int, int]],
     ) -> "IFRelation":
-        """Internal constructor for ``jsonio``: labels and degree-string
-        matrices it checked, the validated degree of each distinct string as
-        a reduced ``(p, q)`` (no other key), and ``den``, the lcm of their
-        ``q``, which is therefore canonical."""
-        ints = {text: p * (den // q) for text, (p, q) in pair_of.items()}
+        """Internal constructor from checked labels and cell matrices, and the
+        validated degree of each distinct cell as a reduced ``(p, q)`` (no
+        other key).  ``den`` is the lcm of their ``q``, so it is canonical;
+        raises ``ValueError`` if it is refused."""
+        den = _common_denominator(pair_of)
+        ints = {key: p * (den // q) for key, (p, q) in pair_of.items()}
         m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
         n = tuple(tuple(map(ints.__getitem__, row)) for row in nu_cells)
         return object.__new__(cls)._store(source, target, den, m, n)

@@ -3,15 +3,14 @@
 Degrees travel as strings ("1/2", "0.3"); elements as sorted atom-label
 arrays.  Parsers validate shape and invariants and raise InputFormatError
 with the offending JSON path, which the CLI maps to exit code 2.  Degree
-strings are bounded as ``degrees.degree`` documents (length, exponent and
-denominator caps) before any arithmetic.  Each distinct degree string is
-parsed once per document, to a reduced int pair ``(p, q)``: plain ASCII
-"p" and "p/q" straight to ints under the same caps, every other spelling
-through ``degrees.degree``.  An error still names the first cell that holds
-the bad string.  ``Fraction`` degrees (``degrees.Degree``) are made only for
-the API surface and error messages.  A relation whose distinct degrees
-would need more than ``MAX_DENOMINATOR_BITS`` bits over their common
-denominator is refused before any int cell is built.
+strings follow the grammar and caps of ``degrees``.  Each distinct degree
+string is parsed once per document, to a reduced int pair ``(p, q)``, in one
+pass over a matrix's (or a fuzzy set's) new strings: plain ASCII "p" and
+"p/q" by ``degrees._plain``, every other spelling by ``degrees.degree``.
+Only when that pass meets a bad cell does a cell-by-cell walk run, to name
+the first cell that holds it.  ``Fraction`` degrees (``degrees.Degree``) are
+made only for the API surface and error messages.  ``IFRelation._from_cells``
+builds a relation from the pairs and applies its common-denominator bound.
 
 Schemas:
 
@@ -27,11 +26,10 @@ Schemas:
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import TYPE_CHECKING, Any
 
 from .algebra import BooleanAlgebra, Element
-from .degrees import MAX_DEGREE_DENOMINATOR, MAX_DEGREE_TEXT, Degree, FuzzySet, degree
+from .degrees import Degree, FuzzySet, _plain, degree
 from .diagram import Diagram
 
 if TYPE_CHECKING:
@@ -55,13 +53,6 @@ MAX_RELATION = 200
 #: parsed: ``contradiction`` on two sets of 65 536 points takes about
 #: 1.5 s end to end.
 MAX_POINTS = 65536
-
-#: The most bits a relation's distinct int cells may take together: the
-#: common denominator's bit length times the number of distinct degree
-#: strings (16 MiB of ints).  Checked while the lcm of the denominators is
-#: taken, before any int cell is built: a relation of 40 elements whose
-#: cells have distinct 128-bit denominators passes it.
-MAX_DENOMINATOR_BITS = 2**27
 
 Pair = tuple[int, int]
 
@@ -111,57 +102,28 @@ def _degree(obj: Any, path: str, memo: dict[str, Pair]) -> Pair:
         return memo[obj]
     text = _expect_str(obj, path)
     try:
-        d = degree(text)
+        pair = memo[text] = degree(text).as_integer_ratio()
     except ValueError as exc:
         raise InputFormatError(str(exc), path) from None
-    pair = memo[text] = d.numerator, d.denominator
     return pair
 
 
-def _fast_degrees(rows: Any, memo: dict[str, Pair]) -> bool:
-    """Parse every cell of ``rows`` not yet in ``memo`` into it and return
-    True, if each is a plain ASCII "p" or "p/q" string that reduces to a
-    degree within the caps.  Otherwise leave ``memo`` as it was and return
-    False: the caller's cell-by-cell loop then names the first bad cell, and
-    every other spelling goes through ``degrees.degree``."""
+def _read_degrees(rows: Any, memo: dict[str, Pair]) -> bool:
+    """Parse every cell of ``rows`` not yet in ``memo`` into it, in one pass,
+    and return True if each is a degree string.  Otherwise leave ``memo`` as
+    it was and return False: the caller's cell-by-cell loop then names the
+    first bad cell."""
     try:
         new = set().union(*rows).difference(memo)
     except TypeError:  # an unhashable cell
         return False
-    pairs = {}
-    for text in new:
-        if type(text) is not str or len(text) > MAX_DEGREE_TEXT or not text.isascii():
-            return False
-        p, slash, q = text.partition("/")
-        # on ASCII text isdigit() means [0-9]+, which int() reads as written
-        if not p.isdigit() or (slash and not q.isdigit()):
-            return False
-        p, q = int(p), int(q) if slash else 1
-        if q == 0 or p > q:
-            return False
-        g = gcd(p, q)
-        if g > 1:
-            p, q = p // g, q // g
-        if q > MAX_DEGREE_DENOMINATOR:
-            return False
-        pairs[text] = p, q
-    memo.update(pairs)
+    if any(type(text) is not str for text in new):
+        return False
+    try:  # no degree holds a lone surrogate, which _expect_str refuses
+        memo.update({text: _plain(text) or degree(text).as_integer_ratio() for text in new})
+    except ValueError:
+        return False
     return True
-
-
-def _common_denominator(memo: dict[str, Pair]) -> int:
-    """The lcm of the denominators in ``memo``, taken one at a time and
-    refused as soon as ``MAX_DENOMINATOR_BITS`` is passed."""
-    den = 1
-    for q in {q for _, q in memo.values()}:
-        den = lcm(den, q)
-        if den.bit_length() * len(memo) > MAX_DENOMINATOR_BITS:
-            # well-formed but too large: a refusal, not exit 2
-            raise ValueError(
-                f"common denominator refused: its {den.bit_length()}+ bits times "
-                f"{len(memo)} distinct degrees exceed {MAX_DENOMINATOR_BITS} bits"
-            )
-    return den
 
 
 def _string_list(obj: Any, path: str) -> tuple[str, ...]:
@@ -256,7 +218,7 @@ def _degree_matrix(
         if type(row) is not list or len(row) != cols:  # the messages only on a failure
             _expect_list(row, f"{path}[{i}]")
             _expect(len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]")
-    if not _fast_degrees(matrix, memo):
+    if not _read_degrees(matrix, memo):
         for i, row in enumerate(matrix):
             for j, cell in enumerate(row):
                 if type(cell) is not str or cell not in memo:  # the path only for a new string
@@ -298,9 +260,8 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
         _check_labels(labels, "source")
     except ValueError as exc:  # duplicate or blank labels
         raise InputFormatError(str(exc), f"{path}.{key}") from None
-    den = _common_denominator(memo)
     try:
-        return IFRelation._from_cells(labels, labels, mu, nu, memo, den)
+        return IFRelation._from_cells(labels, labels, mu, nu, memo)
     except DegreeSumError as exc:
         i, j = exc.cell
         total = Degree(*memo[mu[i][j]]) + Degree(*memo[nu[i][j]])
@@ -337,10 +298,10 @@ def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
     if len(record) > MAX_POINTS:
         raise ValueError(f"fuzzy set larger than {MAX_POINTS} points refused")
     memo: dict[str, Pair] = {}
-    fast = _fast_degrees((record.values(),), memo)
+    read = _read_degrees((record.values(),), memo)
     for label, value in record.items():
         _expect_str(label, path)
-        if not fast:
+        if not read:
             _degree(value, f"{path}.{label}", memo)
     made = {text: Degree(p, q) for text, (p, q) in memo.items()}
     # the keys of a JSON object are distinct, and every value is a checked degree

@@ -18,9 +18,8 @@ from squareop.diagram import Diagram, canonical_square
 from squareop.dot import diagram_to_dot, fuzzy_diagram_to_dot
 from squareop.fuzzydiagram import FuzzyAristotelianDiagram, embed_diagram
 from squareop.iflattice import IFLattice, powerset_lattice
-from squareop.ifrel import IFRelation
+from squareop.ifrel import MAX_DENOMINATOR_BITS, IFRelation
 from squareop.jsonio import (
-    MAX_DENOMINATOR_BITS,
     MAX_POINTS,
     MAX_RELATION,
     diagram_to_json,
@@ -816,6 +815,17 @@ def _modules_loaded(*argv) -> set[str]:
     return set(proc.stderr.decode().split())
 
 
+def _table200(tmp_path) -> Path:
+    """A diagram of 200 seeded-random elements on 16 atoms, as CI builds it."""
+    rng = random.Random(7)
+    names = [chr(ord("a") + i) for i in range(16)]
+    fragment = [[a for i, a in enumerate(names) if bits >> i & 1]
+                for bits in rng.sample(range(1 << 16), 200)]
+    path = tmp_path / "table200.json"
+    path.write_text(json.dumps({"algebra": {"atoms": names}, "fragment": fragment}))
+    return path
+
+
 def _layers_loaded(*argv) -> set[str]:
     """The ``squareop`` modules a fresh interpreter holds after ``cli.main(argv)``."""
     return {m.split(".", 1)[1] for m in _modules_loaded(*argv) if m.startswith("squareop.")}
@@ -827,14 +837,18 @@ def _layers_loaded(*argv) -> set[str]:
     ("canonical-square --format dot", True),
     ("classify {square}", False),
     ("classify {square} --format dot", True),
+    ("classify {table200}", False),
     ("iso {square} {square}", False),
     ("info {square} {square} --map 0,1,2,3", False),
     ("validate {square}", False),
 ])
-def test_crisp_commands_load_no_fuzzy_layer(square_file, command, dot):
+def test_crisp_commands_load_no_fuzzy_layer(square_file, tmp_path, command, dot):
     """Each subcommand imports only the layers it uses; DOT output alone
     loads ``dot``; none loads ``dataclasses`` or ``inspect``."""
-    modules = _modules_loaded(*command.format(square=square_file).split())
+    files = {"square": square_file}
+    if "{table200}" in command:
+        files["table200"] = _table200(tmp_path)
+    modules = _modules_loaded(*command.format(**files).split())
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("squareop.")}
     assert loaded.isdisjoint(FUZZY_LAYERS), loaded
     assert ("dot" in loaded) == dot
@@ -895,15 +909,7 @@ def test_closed_pipe_keeps_exit_code_and_stderr_empty(tmp_path, atoms):
     """The reader is gone before anything is written.  The canonical square
     fits stdout's buffer, so the flush meets the closed pipe; the relation
     table of 200 elements on 16 atoms does not, so the write does."""
-    argv = ["canonical-square"]
-    if atoms:
-        rng = random.Random(7)
-        names = [chr(ord("a") + i) for i in range(atoms)]
-        fragment = [[a for i, a in enumerate(names) if bits >> i & 1]
-                    for bits in rng.sample(range(1 << atoms), 200)]
-        path = tmp_path / "table200.json"
-        path.write_text(json.dumps({"algebra": {"atoms": names}, "fragment": fragment}))
-        argv = ["classify", str(path)]
+    argv = ["classify", str(_table200(tmp_path))] if atoms else ["canonical-square"]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

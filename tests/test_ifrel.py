@@ -103,6 +103,22 @@ class TestRelationConstruction:
         with pytest.raises(ValueError):
             identity_relation(("x", "x"))
 
+    def test_common_denominator_is_bounded_before_the_degree_sum(self):
+        # 40 elements, each mu cell over its own 128-bit denominator: refused
+        # as the JSON reader refuses it, before any int cell is built
+        rng = random.Random(1)
+        labels = tuple(f"e{i}" for i in range(40))
+        mu = [[F(1, rng.randint(2**127, 2**128)) for _ in labels] for _ in labels]
+        nu = [[F(0)] * len(labels) for _ in labels]
+        pairs = [[IFPair(a, b) for a, b in zip(*rows)] for rows in zip(mu, nu)]
+        with pytest.raises(ValueError, match="common denominator refused") as info:
+            IFRelation.from_pairs(labels, labels, pairs)
+        assert not isinstance(info.value, DegreeSumError)
+        nu[0][1] = F(1)  # mu + nu > 1 at (0, 1)
+        with pytest.raises(ValueError, match="common denominator refused") as info:
+            IFRelation(labels, labels, mu, nu)
+        assert not isinstance(info.value, DegreeSumError)
+
     def test_pair_accessors(self):
         r = identity_relation(("x", "y"))
         assert r.pair(0, 0) == IFPair(F(1), F(0))

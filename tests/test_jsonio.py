@@ -11,7 +11,7 @@ from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
 from squareop.iflattice import powerset_lattice
 from squareop.ifrel import DegreeSumError, IFRelation, identity_relation
-from squareop import jsonio
+from squareop import ifrel, jsonio
 from squareop.jsonio import (
     MAX_FRAGMENT,
     InputFormatError,
@@ -28,7 +28,7 @@ from squareop.jsonio import (
     relation_from_json,
     relation_to_json,
 )
-from squareop.degrees import FuzzySet, degree
+from squareop.degrees import FuzzySet, _plain, degree
 from squareop.sampling import random_fuzzy_powerset_order
 
 
@@ -460,6 +460,40 @@ class TestAgainstCellByCellParse:
         assert s == FuzzySet(tuple(doc), tuple(Fraction(i, 7) for i in range(8)))
 
 
+class TestPlainDegrees:
+    """``degrees._plain`` reads a subset of what ``degree`` reads, to the
+    same reduced pair, and ``jsonio`` walks cells one by one only to name
+    an error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_degree_texts()
+           | st.sampled_from([c for c in _BAD_CELLS + _SUMMING_CELLS if isinstance(c, str)])
+           | st.from_regex(r"\A[0-9]{0,50}(/[0-9]{0,60})?\Z"))
+    def test_plain_agrees_with_degree(self, text):
+        pair = _plain(text)
+        try:
+            d = degree(text)
+        except ValueError:
+            assert pair is None
+        else:
+            assert pair in (None, (d.numerator, d.denominator))
+
+    def test_plain_spellings(self):
+        assert [_plain(t) for t in ("0", "1", "007/010", "2/4", "0/5")] == [
+            (0, 1), (1, 1), (7, 10), (1, 2), (0, 1)]
+        assert [_plain(t) for t in ("0.25", " 1/4", "+1/2", "1/0", "3/2")] == [None] * 5
+
+    def test_valid_matrix_makes_no_cell_by_cell_walk(self, monkeypatch):
+        calls = []
+        walk = jsonio._degree
+        monkeypatch.setattr(jsonio, "_degree", lambda *args: calls.append(args) or walk(*args))
+        doc = {"set": ["x", "y"], "mu": [["1/2", "0.25"], [" 1/4", "1"]],
+               "nu": [["1/2", "0.75"], ["3/4", "0"]]}
+        r = relation_from_json(doc)
+        assert calls == []
+        assert r == _reference_relation(doc) and r.den == 4
+
+
 def _reference_fuzzy_set(doc):
     """``fuzzy_set_from_json`` on a non-empty ``doc`` as a point-by-point
     parse and the public constructor, with the same messages and paths."""
@@ -482,19 +516,36 @@ def _relation(cells):
 
 class TestCommonDenominatorBound:
     """A relation's distinct int cells are bounded by MAX_DENOMINATOR_BITS
-    before any is built; the limit itself is tested in test_cli.py."""
+    before any is built, read from JSON or built by the public constructor;
+    the limit itself is tested in test_cli.py."""
 
-    DOC = _relation(["1/3", "1/5", "1/7", "1/11"])  # den 1155, 11 bits, 5 distinct with "0"
+    CELLS = ["1/3", "1/5", "1/7", "1/11"]  # den 1155, 11 bits, 5 distinct with "0"
+    DOC = _relation(CELLS)
+
+    @staticmethod
+    def _api(cells):
+        mu = [[Fraction(c) for c in cells[:2]], [Fraction(c) for c in cells[2:]]]
+        return IFRelation(("x", "y"), ("x", "y"), mu, [[0, 0], [0, 0]])
 
     def test_at_the_bound_is_read(self, monkeypatch):
-        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 11 * 5)
+        monkeypatch.setattr(ifrel, "MAX_DENOMINATOR_BITS", 11 * 5)
         assert relation_from_json(self.DOC).den == 1155
 
     def test_past_the_bound_is_refused(self, monkeypatch):
-        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 11 * 5 - 1)
+        monkeypatch.setattr(ifrel, "MAX_DENOMINATOR_BITS", 11 * 5 - 1)
         with pytest.raises(ValueError, match="common denominator refused") as info:
             relation_from_json(self.DOC)
         assert not isinstance(info.value, InputFormatError)
+
+    def test_api_at_the_bound_is_built(self, monkeypatch):
+        monkeypatch.setattr(ifrel, "MAX_DENOMINATOR_BITS", 11 * 5)
+        assert self._api(self.CELLS) == relation_from_json(self.DOC)
+
+    def test_api_past_the_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(ifrel, "MAX_DENOMINATOR_BITS", 11 * 5 - 1)
+        with pytest.raises(ValueError, match="common denominator refused") as info:
+            self._api(self.CELLS)
+        assert not isinstance(info.value, DegreeSumError)
 
     @pytest.mark.parametrize("doc, path", [
         (_relation(["1/3", "1/5", "1/7", "3/2"]), "$.mu[1][1]"),
@@ -502,7 +553,7 @@ class TestCommonDenominatorBound:
         (dict(_relation(["1/3", "1/5", "1/7", "1/11"]), set=["x", "x"]), "$.set"),
     ], ids=["out-of-range", "not-a-string", "duplicate-label"])
     def test_malformed_input_is_named_first(self, monkeypatch, doc, path):
-        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 1)
+        monkeypatch.setattr(ifrel, "MAX_DENOMINATOR_BITS", 1)
         with pytest.raises(InputFormatError) as info:
             relation_from_json(doc)
         assert info.value.path == path
