@@ -50,18 +50,6 @@ class BooleanAlgebra:
             raise ValueError("atom labels must be non-empty strings")
         object.__setattr__(self, "atoms", atoms)
 
-    # == and hash are written out rather than left to ``record``: every
-    # element operation and every diagram compares algebras
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.atoms == other.atoms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.atoms,))
-
     @classmethod
     def of(cls, atom_count: int) -> "BooleanAlgebra":
         """Algebra over ``atom_count`` atoms with default labels a, b, c, ..."""
@@ -128,16 +116,6 @@ class Element:
             raise ValueError(f"bits {bits} out of range for a {algebra.atom_count}-atom algebra")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "algebra", algebra)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits and self.algebra == other.algebra
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.algebra))
 
     def _require_same_algebra(self, other: "Element") -> None:
         if not isinstance(other, Element):

@@ -54,10 +54,10 @@ ISO_LISTING_CAP = 1000
 #: The 1 024-element fragment limit with 16-atom default labels fits.
 MAX_TABLE_CHARS = 2**26
 
-#: The largest input file, in bytes, refused before it is read.  The count
-#: limits admit no larger document with degree strings of at most 100
-#: characters: a dense 200-element relation of them is about 8.3 MB.  Pipes
-#: report no size and are not bounded here.
+#: The largest input file, in bytes.  A file is refused from its size before
+#: it is read; a pipe reports no size, so it is refused after one byte more is
+#: read.  The count limits admit no larger document with degree strings of at
+#: most 100 characters: a dense 200-element relation of them is about 8.3 MB.
 MAX_FILE_BYTES = 2**24
 
 #: The largest ``category-check --triples``: the category laws chain maps
@@ -79,11 +79,15 @@ def _marks() -> tuple[str, str]:
 
 def _load(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES:
+        with open(path, "rb") as fh:
+            # a file is refused from its size, unread; a pipe reports no size
+            if (os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES
+                    or len(data := fh.read(MAX_FILE_BYTES + 1)) > MAX_FILE_BYTES):
                 raise CliError(f"{path}: file larger than {MAX_FILE_BYTES} bytes refused",
                                PROPERTY_FAILED)
-            return json.load(fh)
+        # universal newlines, as a text-mode read gives them, keep the line
+        # and column of a JSON error
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError:
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
     except OSError as exc:

@@ -196,14 +196,6 @@ class IFPair:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
 
-    @classmethod
-    def _trusted(cls, mu: Fraction, nu: Fraction) -> "IFPair":
-        """A pair of degrees read from a validated relation: no re-check."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "mu", mu)
-        object.__setattr__(pair, "nu", nu)
-        return pair
-
     @property
     def hesitation(self) -> Fraction:
         return ONE - self.mu - self.nu
@@ -242,15 +234,6 @@ class FuzzySet:
             raise ValueError("membership must be total on the domain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", tuple(degree(v) for v in values))
-
-    @classmethod
-    def _trusted(cls, domain: tuple[str, ...], values: tuple[Fraction, ...]) -> "FuzzySet":
-        """A fuzzy set of distinct labels and validated degrees, as ``jsonio``
-        reads one: no re-check."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "domain", domain)
-        object.__setattr__(s, "values", values)
-        return s
 
     @classmethod
     def from_mapping(cls, membership: Mapping[str, int | str | Fraction]) -> "FuzzySet":

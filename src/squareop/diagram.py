@@ -272,18 +272,6 @@ class DiagramMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mapping", indices)
 
-    @classmethod
-    def _trusted(
-        cls,
-        source: Diagram | FuzzyAristotelianDiagram,
-        target: Diagram | FuzzyAristotelianDiagram,
-        mapping: tuple[int, ...],
-    ) -> "DiagramMap":
-        """A map whose mapping is known to be total and in range: no re-check."""
-        m = object.__new__(cls)
-        m.__dict__.update(source=source, target=target, mapping=mapping)
-        return m
-
     @property
     def is_bijection(self) -> bool:
         return len(self.source.fragment) == len(self.target.fragment) and len(

@@ -80,20 +80,6 @@ class FuzzyAristotelianDiagram:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tolerance", tolerance)
 
-    # == and hash are written out rather than left to ``record``: the category
-    # laws key their maps by diagram
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return (self.lattice, self.fragment, self.labels, self.tolerance) == (
-                other.lattice, other.fragment, other.labels, other.tolerance
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.fragment, self.labels, self.tolerance))
-
     def _require_member(self, x: str) -> None:
         if x not in self.fragment:
             raise ValueError(f"{x!r} is not a fragment element")

@@ -167,18 +167,6 @@ class IFLattice:
         object.__setattr__(self, "order", order)
         self.__post_init__()
 
-    # == and hash are written out rather than left to ``record``: lattices are
-    # compared and hashed as parts of fuzzy diagrams, often as dict keys
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.order == other.order
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.order,))
-
     def __post_init__(self) -> None:
         if not self.order.is_square:
             raise ValueError("the order must be a square relation on the carrier")

@@ -207,21 +207,6 @@ class IFRelation:
     def nu(self) -> Matrix:
         return _fractions(self.n, self.den)
 
-    # written out rather than left to ``record``: relations are compared and
-    # hashed as parts of lattices and fuzzy diagrams, often as dict keys
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return (
-                self.source == other.source and self.target == other.target
-                and self.den == other.den and self.m == other.m and self.n == other.n
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.den, self.m, self.n))
-
     def __repr__(self) -> str:
         return (
             f"IFRelation(source={self.source!r}, target={self.target!r}, "

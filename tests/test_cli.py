@@ -710,10 +710,10 @@ class TestErrorsBecomeExitCodes:
         with open(path, "wb") as fh:
             fh.truncate(cli.MAX_FILE_BYTES + 1)  # sparse: no block is written
 
-        def unread(fh):
+        def unread(text):
             raise AssertionError("an oversized file was read")
 
-        monkeypatch.setattr(json, "load", unread)
+        monkeypatch.setattr(json, "loads", unread)
         assert run(capsys, "validate", str(path)) == (
             1, "", f"error: {path}: file larger than {cli.MAX_FILE_BYTES} bytes refused\n"
         )
@@ -725,6 +725,59 @@ class TestErrorsBecomeExitCodes:
         assert run(capsys, "validate", str(path)) == (
             2, "", f"error: {path}: line 1, column 1: Expecting value\n"
         )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_input_is_read_at_most_one_byte_over_the_cap(self):
+        # a pipe has no size to check first: a valid document followed by a
+        # stream of blanks twice the cap is refused once one byte over the cap
+        # is read, and the rest is never read
+        proc = subprocess.Popen([sys.executable, "-m", "squareop.cli", "validate", "/dev/stdin"],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_env())
+        chunk, sent = b'{"atoms": ["a"]}'.ljust(2**16), 0
+        try:
+            while sent < 2 * cli.MAX_FILE_BYTES:
+                proc.stdin.write(chunk)
+                sent += len(chunk)
+        except BrokenPipeError:
+            pass
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err.decode()) == (
+            1, b"", f"error: /dev/stdin: file larger than {cli.MAX_FILE_BYTES} bytes refused\n"
+        )
+        assert sent < cli.MAX_FILE_BYTES + 2**20  # at most a pipe buffer more
+        at_cap = _squareop("validate", "/dev/stdin",
+                           input=b'{"atoms": ["a"]}'.ljust(cli.MAX_FILE_BYTES))
+        assert (at_cap.returncode, at_cap.stdout, at_cap.stderr) == (
+            0, b"OK: algebra (1 atoms)\n", b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd/0"), reason="no /dev/fd")
+    @pytest.mark.parametrize("data", [
+        b'{"atoms": ["a"]}',
+        b'{\r\n"atoms":\r\n ["a",]\r\n}',
+        b'{\r"atoms":\r ["a",]\r}',
+        b'{"atoms": ["\xff"]}',
+    ], ids=["valid", "crlf-json-error", "cr-json-error", "not-utf8"])
+    def test_a_pipe_reads_as_a_file_does(self, tmp_path, capsys, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            piped = run(capsys, "validate", f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        code, out, err = run(capsys, "validate", str(path))
+        assert piped == (code, out, err.replace(str(path), f"/dev/fd/{r}"))
+        try:
+            json.loads(path.read_text(encoding="utf-8"))  # text mode: universal newlines
+        except json.JSONDecodeError as exc:
+            assert err == f"error: {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}\n"
+        except UnicodeDecodeError:
+            assert err == f"error: {path}: not UTF-8 text\n"
+        else:
+            assert (code, out) == (0, "OK: algebra (1 atoms)\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_wide_label_table_is_printed_as_json_only(self, tmp_path, capsys, fmt):
@@ -786,13 +839,18 @@ class TestErrorsBecomeExitCodes:
         assert err.startswith(f"error: {path}: ")
 
 
-def _python(*args, encoding="utf-8", stdout=subprocess.PIPE):
-    """Run a fresh interpreter on the ``squareop`` under test."""
+def _env(encoding="utf-8"):
+    """The environment of a fresh interpreter on the ``squareop`` under test."""
     env = dict(os.environ, PYTHONPATH=str(Path(squareop.__file__).resolve().parents[1]),
                PYTHONIOENCODING=encoding)
     env.pop("SQUAREOP_ASCII", None)
-    return subprocess.run([sys.executable, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60)
+    return env
+
+
+def _python(*args, encoding="utf-8", stdout=subprocess.PIPE, **kwargs):
+    """Run a fresh interpreter on the ``squareop`` under test."""
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=_env(encoding), timeout=60, **kwargs)
 
 
 def _squareop(*argv, **kwargs):

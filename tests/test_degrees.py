@@ -280,6 +280,13 @@ class TestFuzzySetValidation:
         make()
         assert len(calls) == 3
 
+    def test_as_mapping_inverts_from_mapping(self):
+        s = FuzzySet.from_mapping({"y": "1/3", "x": "0.5", "z": 1})
+        mapping = s.as_mapping()
+        assert mapping == {"y": Fraction(1, 3), "x": Fraction(1, 2), "z": Fraction(1)}
+        assert list(mapping) == ["y", "x", "z"]
+        assert FuzzySet.from_mapping(mapping) == s
+
 
 class TestSelfContradiction:
     def test_empty_set_fully_self_contradicts(self):

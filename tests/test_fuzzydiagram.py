@@ -144,6 +144,11 @@ class TestClassifyFuzzy:
                     assert annotation == lat.order.pair_of(*edge)
                     assert classify_fuzzy(d, x, y) == (kind, annotation)
 
+    def test_length_is_the_fragment_size(self):
+        square = embed_diagram(canonical_square())
+        assert len(square) == len(square.fragment) == 4
+        assert len(FuzzyAristotelianDiagram(two_point_lattice(F(1), F(0)), ("{a}",))) == 1
+
     def test_fragment_membership_required(self):
         lat = two_point_lattice(F(1), F(0))
         d = FuzzyAristotelianDiagram(lat, ("{a}",))

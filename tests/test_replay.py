@@ -8,9 +8,11 @@ that alters any of these 112 outputs by design reruns
 
     PYTHONPATH=src python tests/golden/update_replay.py
 
-and names each changed run.  The digests were made under Python 3.11; the
-stderr of ``validate-garbage`` is the message of the standard ``json``
-decoder, the same text on 3.10-3.13.
+and names each changed run.  The digests were made under Python 3.11.  Every
+stderr text is the library's own except two: ``validate-garbage`` quotes the
+standard ``json`` decoder and ``dir-input`` the operating system.  Should a
+Python version word one of them differently, pin that run's exit code and
+stdout instead.
 """
 
 import contextlib
