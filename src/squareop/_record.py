@@ -8,7 +8,9 @@ takes every field, positionally or by keyword, and then runs
 ``__post_init__`` if the class has one; a class with defaults or checks
 writes its own ``__init__``.  ``_trusted(*values)`` builds an instance from
 its field values in field order with no check at all, for values the
-library has already validated.  Fields are set with ``object.__setattr__``
+library has already validated; it is only for classes whose field values
+have no canonical form, so ``IFRelation``, whose ``den`` must stay reduced,
+is built from ints by its own ``_build`` instead.  Fields are set with ``object.__setattr__``
 or straight into the instance dict, and ``copy``, pickling and
 ``functools.cached_property`` work as on any plain class.
 

@@ -710,10 +710,24 @@ class TestErrorsBecomeExitCodes:
         with open(path, "wb") as fh:
             fh.truncate(cli.MAX_FILE_BYTES + 1)  # sparse: no block is written
 
-        def unread(text):
-            raise AssertionError("an oversized file was read")
+        class Unread:
+            # the opened file, whose bytes may not be read
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(json, "loads", unread)
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, *args):
+                raise AssertionError("an oversized file was read")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Unread(open(*a, **k)), raising=False)
         assert run(capsys, "validate", str(path)) == (
             1, "", f"error: {path}: file larger than {cli.MAX_FILE_BYTES} bytes refused\n"
         )
