@@ -442,7 +442,16 @@ def count_isos(
 
 def check_infomorphism(m: DiagramMap) -> bool:
     """Whether the map never loses informativity on any fragment pair."""
-    source, target, f = m.source.kind_table, m.target.kind_table, m.mapping
+    return _keeps_informativity(m.source.kind_table, m.target.kind_table, m.mapping)
+
+
+def _keeps_informativity(
+    source: Sequence[Sequence[RelationKind]],
+    target: Sequence[Sequence[RelationKind]],
+    f: Sequence[int],
+) -> bool:
+    """Whether every kind of ``source`` is at most as informative as the kind
+    of ``target`` at the pair of rows ``f`` sends it to."""
     return all(
         informativity_leq(kind, target[f[i]][f[j]])
         for i, row in enumerate(source)

@@ -12,12 +12,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .algebra import BooleanAlgebra
+from .algebra import MAX_ATOMS, BooleanAlgebra
 from .degrees import IFPair
-from .diagram import Diagram, DiagramMap, check_infomorphism
+from .diagram import Diagram, DiagramMap, _keeps_informativity
 from .fuzzydiagram import FuzzyAristotelianDiagram
 from .ifrel import IFRelation, transitive_closure
-from .iflattice import IFLattice
+from .iflattice import MAX_CARRIER, IFLattice, powerset_lattice
 
 DEFAULT_MAX_DENOMINATOR = 12
 
@@ -46,9 +46,17 @@ def random_if_relation(
     return IFRelation.from_pairs(tuple(source), tuple(target), cells)
 
 
+def _check_bounds(max_atoms: int, atom_limit: int, max_fragment: int) -> None:
+    if not 1 <= max_atoms <= atom_limit:
+        raise ValueError(f"max_atoms must be between 1 and {atom_limit}, got {max_atoms!r}")
+    if max_fragment < 1:
+        raise ValueError(f"max_fragment must be at least 1, got {max_fragment!r}")
+
+
 def random_crisp_diagram(
     rng: random.Random, max_atoms: int = 4, max_fragment: int = 6
 ) -> Diagram:
+    _check_bounds(max_atoms, MAX_ATOMS, max_fragment)
     n = rng.randint(1, max_atoms)
     algebra = BooleanAlgebra.of(n)
     size = rng.randint(1, min(max_fragment, algebra.carrier_size))
@@ -56,28 +64,29 @@ def random_crisp_diagram(
     return Diagram(algebra, tuple(algebra.element(b) for b in bits))
 
 
-def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
-    """A random fuzzification of the subset order on a powerset carrier.
+def _draw_order(rng: random.Random, crisp: IFLattice) -> dict:
+    """The raw (a, p, b, q) cells, by index pair, of a random fuzzification
+    of the powerset order ``crisp``.
 
-    Strict subset pairs get random degrees with nu < 1 (the edge survives in
-    the derived order), unrelated pairs get (0, 1), the diagonal gets (1, 0).
-    A transitive-closure repair then makes the relation a fuzzy partial
-    order; the closure cannot extend the support outside the subset order,
-    so the derived crisp structure is exactly the Boolean powerset lattice.
+    Strict subset pairs get random degrees with nu < 1, so each such edge
+    survives in the derived order; unrelated pairs get (0, 1) and the
+    diagonal (1, 0). The transitive-closure repair in ``_build_order`` can
+    only add edges i <= j through some k with i <= k <= j, and the subset
+    order is already transitive, so the support never grows past it: every
+    fuzzification derives exactly ``crisp``'s structure and kind table.
     """
-    from .iflattice import powerset_lattice
-
-    if isinstance(algebra, int):
-        algebra = BooleanAlgebra.of(algebra)
-    crisp = powerset_lattice(algebra)
-    labels = crisp.carrier
-    size = len(labels)
-    cells = {
+    size = len(crisp.carrier)
+    return {
         (i, j): _random_cell(rng, strict=True)
         for i in range(size)
         for j in range(size)
         if i != j and i & j == i  # powerset carrier indices are the bitmasks
     }
+
+
+def _build_order(crisp: IFLattice, cells: dict) -> IFLattice:
+    labels = crisp.carrier
+    size = len(labels)
     den = lcm(*(d for _, p, _, q in cells.values() for d in (p, q)))
     m = [[den * (i == j) for j in range(size)] for i in range(size)]
     n = [[den * (i != j) for j in range(size)] for i in range(size)]
@@ -87,15 +96,38 @@ def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | in
     return IFLattice(transitive_closure(relation))
 
 
+def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
+    """A random fuzzification of the subset order on a powerset carrier: its
+    derived crisp structure is exactly the Boolean powerset lattice."""
+    if isinstance(algebra, int):
+        algebra = BooleanAlgebra.of(algebra)
+    crisp = powerset_lattice(algebra)
+    return _build_order(crisp, _draw_order(rng, crisp))
+
+
+def _draw_fuzzy_diagram(
+    rng: random.Random, max_atoms: int, max_fragment: int
+) -> tuple[IFLattice, dict, list[int]]:
+    """The draws of ``random_fuzzy_diagram``: the crisp powerset order, the
+    order's raw cells and the sorted fragment indices."""
+    crisp = powerset_lattice(BooleanAlgebra.of(rng.randint(1, max_atoms)))
+    cells = _draw_order(rng, crisp)
+    size = len(crisp.carrier)
+    return crisp, cells, sorted(rng.sample(range(size), rng.randint(1, min(max_fragment, size))))
+
+
+def _build_fuzzy_diagram(
+    crisp: IFLattice, cells: dict, index: list[int]
+) -> FuzzyAristotelianDiagram:
+    fragment = tuple(crisp.carrier[i] for i in index)
+    return FuzzyAristotelianDiagram(_build_order(crisp, cells), fragment)
+
+
 def random_fuzzy_diagram(
     rng: random.Random, max_atoms: int = 3, max_fragment: int = 4
 ) -> FuzzyAristotelianDiagram:
-    lattice = random_fuzzy_powerset_order(rng, rng.randint(1, max_atoms))
-    size = rng.randint(1, min(max_fragment, len(lattice.carrier)))
-    fragment = tuple(
-        lattice.carrier[i] for i in sorted(rng.sample(range(len(lattice.carrier)), size))
-    )
-    return FuzzyAristotelianDiagram(lattice, fragment)
+    _check_bounds(max_atoms, MAX_CARRIER.bit_length() - 1, max_fragment)
+    return _build_fuzzy_diagram(*_draw_fuzzy_diagram(rng, max_atoms, max_fragment))
 
 
 def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice, dict[int, int]]:
@@ -149,14 +181,14 @@ def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> Diagra
         target = FuzzyAristotelianDiagram(permuted, fragment, tolerance=source.tolerance)
         return DiagramMap(source, target, tuple(range(len(source.fragment))))
     if kind == "random":
+        # decided on the crisp kind table every candidate derives (see
+        # _draw_order), so only the accepted candidate is built
         for _ in range(8):
-            target = random_fuzzy_diagram(rng)
-            mapping = tuple(
-                rng.randrange(len(target.fragment)) for _ in source.fragment
-            )
-            candidate = DiagramMap(source, target, mapping)
-            if check_infomorphism(candidate):
-                return candidate
+            crisp, cells, index = _draw_fuzzy_diagram(rng, 3, 4)
+            mapping = tuple(rng.randrange(len(index)) for _ in source.fragment)
+            table = crisp._structure.kind_table
+            if _keeps_informativity(source.kind_table, table, [index[j] for j in mapping]):
+                return DiagramMap(source, _build_fuzzy_diagram(crisp, cells, index), mapping)
     return DiagramMap.identity(source)
 
 

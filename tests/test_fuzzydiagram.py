@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from squareop import sampling
 from squareop.algebra import BooleanAlgebra, element_label
 from squareop.degrees import FULL, IFPair
 from squareop.diagram import (
@@ -31,10 +33,11 @@ from squareop.fuzzydiagram import (
     fuzzy_relation_table,
     verify_category_laws,
 )
-from squareop.ifrel import IFRelation
+from squareop.ifrel import IFRelation, transitive_closure
 from squareop.iflattice import IFLattice, LawViolationError, _OrderStructure, powerset_lattice
 from squareop.sampling import (
     _permute_lattice,
+    _random_cell,
     composable_infomorphism_triples,
     random_crisp_diagram,
     random_fuzzy_diagram,
@@ -574,3 +577,153 @@ class TestAnnotatedSquare:
         full = tuple(tuple(FULL for _ in range(4)) for _ in range(4))
         with pytest.raises(ValueError, match="1/2"):
             AnnotatedSquare(square, full)
+
+
+# The eager sampler as it stood before candidates were decided on the crisp
+# kind table: it builds every candidate, then checks the map.  The
+# differential test holds the current sampler to its objects and its draws.
+def eager_powerset_order(rng, atom_count):
+    crisp = powerset_lattice(BooleanAlgebra.of(atom_count))
+    labels = crisp.carrier
+    size = len(labels)
+    cells = {
+        (i, j): _random_cell(rng, strict=True)
+        for i in range(size)
+        for j in range(size)
+        if i != j and i & j == i
+    }
+    den = lcm(*(d for _, p, _, q in cells.values() for d in (p, q)))
+    m = [[den * (i == j) for j in range(size)] for i in range(size)]
+    n = [[den * (i != j) for j in range(size)] for i in range(size)]
+    for (i, j), (a, p, b, q) in cells.items():
+        m[i][j], n[i][j] = a * (den // p), b * (den // q)
+    relation = IFRelation._build(labels, labels, den, tuple(map(tuple, m)), tuple(map(tuple, n)))
+    return IFLattice(transitive_closure(relation))
+
+
+def eager_fuzzy_diagram(rng, max_atoms=3, max_fragment=4):
+    lattice = eager_powerset_order(rng, rng.randint(1, max_atoms))
+    size = rng.randint(1, min(max_fragment, len(lattice.carrier)))
+    fragment = tuple(
+        lattice.carrier[i] for i in sorted(rng.sample(range(len(lattice.carrier)), size))
+    )
+    return FuzzyAristotelianDiagram(lattice, fragment)
+
+
+def eager_step(rng, source):
+    kind = rng.choice(("identity", "inclusion", "permutation", "random"))
+    if kind == "inclusion":
+        carrier = source.lattice.carrier
+        extra = [x for x in carrier if x not in source.fragment]
+        rng.shuffle(extra)
+        grown = source.fragment + tuple(extra[: rng.randint(0, min(2, len(extra)))])
+        target = FuzzyAristotelianDiagram(source.lattice, grown, tolerance=source.tolerance)
+        return FuzzyDiagramMap(source, target, tuple(range(len(source.fragment))))
+    if kind == "permutation":
+        n = len(source.lattice.carrier)
+        perm = list(range(n.bit_length() - 1))
+        rng.shuffle(perm)
+        permuted, index_map = _permute_lattice(source.lattice, perm)
+        carrier = source.lattice.carrier
+        fragment = tuple(carrier[index_map[carrier.index(x)]] for x in source.fragment)
+        target = FuzzyAristotelianDiagram(permuted, fragment, tolerance=source.tolerance)
+        return FuzzyDiagramMap(source, target, tuple(range(len(source.fragment))))
+    if kind == "random":
+        for _ in range(8):
+            target = eager_fuzzy_diagram(rng)
+            mapping = tuple(rng.randrange(len(target.fragment)) for _ in source.fragment)
+            candidate = FuzzyDiagramMap(source, target, mapping)
+            if check_fuzzy_infomorphism(candidate):
+                return candidate
+    return FuzzyDiagramMap.identity(source)
+
+
+def eager_triples(rng, count):
+    triples = []
+    for _ in range(count):
+        f = eager_step(rng, eager_fuzzy_diagram(rng))
+        g = eager_step(rng, f.target)
+        h = eager_step(rng, g.target)
+        triples.append((f, g, h))
+    return triples
+
+
+class TestSampler:
+    def test_triples_match_the_eager_sampler(self):
+        for seed in range(300):
+            ours, eager = random.Random(seed), random.Random(seed)
+            count = 1 + seed % 3
+            assert composable_infomorphism_triples(ours, count) == eager_triples(eager, count)
+            assert ours.getstate() == eager.getstate()
+
+    @pytest.mark.parametrize("max_atoms, max_fragment", [(1, 1), (2, 3), (3, 4), (3, 8), (4, 2)])
+    def test_diagrams_match_the_eager_sampler(self, max_atoms, max_fragment):
+        for seed in range(300):
+            ours, eager = random.Random(seed), random.Random(seed)
+            assert random_fuzzy_diagram(ours, max_atoms, max_fragment) == eager_fuzzy_diagram(
+                eager, max_atoms, max_fragment
+            )
+            assert ours.getstate() == eager.getstate()
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+    def test_fuzzified_orders_derive_the_powerset_structure(self, atoms):
+        """What lets the sampler decide a candidate before building it: the
+        closure never grows the support past the subset order."""
+        crisp = powerset_lattice(BooleanAlgebra.of(atoms))._structure.kind_table
+        rng = random.Random(atoms)
+        for _ in range(40):
+            assert random_fuzzy_powerset_order(rng, atoms)._structure.kind_table == crisp
+
+    def test_only_accepted_candidates_are_built(self, monkeypatch):
+        """One closure per first diagram and per accepted random target:
+        identity, inclusion and permuted targets run none."""
+        closures, permuted = [], []
+        close, permute = sampling.transitive_closure, sampling._permute_lattice
+
+        def counted_closure(relation):
+            closures.append(relation)
+            return close(relation)
+
+        def recorded_permute(lattice, perm):
+            result = permute(lattice, perm)
+            permuted.append(result[0])
+            return result
+
+        monkeypatch.setattr(sampling, "transitive_closure", counted_closure)
+        monkeypatch.setattr(sampling, "_permute_lattice", recorded_permute)
+        for seed in range(60):
+            closures.clear()
+            permuted.clear()
+            count = 1 + seed % 4
+            triples = composable_infomorphism_triples(random.Random(seed), count)
+            random_targets = sum(
+                m.target.lattice is not m.source.lattice
+                and not any(m.target.lattice is p for p in permuted)
+                for t in triples
+                for m in t
+            )
+            assert len(closures) == count + random_targets
+
+    @pytest.mark.parametrize(
+        "sample, kwargs, message",
+        [
+            (random_fuzzy_diagram, {"max_atoms": 0}, "max_atoms"),
+            (random_fuzzy_diagram, {"max_atoms": 5}, "max_atoms"),
+            (random_fuzzy_diagram, {"max_fragment": 0}, "max_fragment"),
+            (random_crisp_diagram, {"max_atoms": 0}, "max_atoms"),
+            (random_crisp_diagram, {"max_atoms": 17}, "max_atoms"),
+            (random_crisp_diagram, {"max_fragment": -1}, "max_fragment"),
+        ],
+    )
+    def test_out_of_range_bounds_are_refused_before_any_draw(self, sample, kwargs, message):
+        for seed in range(40):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=message):
+                sample(rng, **kwargs)
+            assert rng.getstate() == state
+
+    def test_bounds_at_the_limits_are_sampled(self):
+        rng = random.Random(3)
+        assert len(random_fuzzy_diagram(rng, max_atoms=4, max_fragment=1).fragment) == 1
+        assert len(random_crisp_diagram(rng, max_atoms=16, max_fragment=1).fragment) == 1
