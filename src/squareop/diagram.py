@@ -285,7 +285,7 @@ class DiagramMap:
 
 def compose_maps(first: DiagramMap, second: DiagramMap) -> DiagramMap:
     """The composite map applying ``first`` then ``second``."""
-    if first.target != second.source:
+    if first.target is not second.source and first.target != second.source:
         raise ValueError("maps are not composable: first.target differs from second.source")
     # total and in range by construction: every entry is one of second's
     return DiagramMap._trusted(

@@ -225,6 +225,10 @@ def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
     maps, as its counterexample.  Sample maps that are not themselves
     infomorphisms are excluded from the closure law (their indices are
     reported); non-composable chains are skipped, not fatal.
+
+    Each composable pair of sample maps is composed once, by
+    ``compose_maps``; the closure law and both sides of every associativity
+    case reuse that composite, and each diagram has one identity map.
     """
     maps = list(maps)
     passing = [check_infomorphism(m) for m in maps]
@@ -236,28 +240,31 @@ def verify_category_laws(maps: Sequence[DiagramMap]) -> CategoryLawReport:
     for i, m in enumerate(maps):
         leaving[m.source].append(i)
 
-    identities = [DiagramMap.identity(d) for d in diagrams]
-    composable = [(i, j) for i, m in enumerate(maps) for j in leaving[m.target]]
-    pairs = [(maps[i], maps[j]) for i, j in composable if passing[i] and passing[j]]
-    triples = [(maps[i], maps[j], maps[k]) for i, j in composable for k in leaving[maps[j].target]]
+    identity = {d: DiagramMap.identity(d) for d in diagrams}
+    composite = {
+        (i, j): compose_maps(m, maps[j]) for i, m in enumerate(maps) for j in leaving[m.target]
+    }
+    pairs = [(i, j) for i, j in composite if passing[i] and passing[j]]
+    triples = [(i, j, k) for i, j in composite for k in leaving[maps[j].target]]
 
     def neutral(m: DiagramMap) -> bool:
-        left = compose_maps(DiagramMap.identity(m.source), m)
-        return left == m == compose_maps(m, DiagramMap.identity(m.target))
+        left = compose_maps(identity[m.source], m)
+        return left == m == compose_maps(m, identity[m.target])
 
-    def associates(m1: DiagramMap, m2: DiagramMap, m3: DiagramMap) -> bool:
-        return compose_maps(compose_maps(m1, m2), m3) == compose_maps(m1, compose_maps(m2, m3))
+    def associates(i: int, j: int, k: int) -> bool:
+        return compose_maps(composite[i, j], maps[k]) == compose_maps(maps[i], composite[j, k])
 
     identity_failures = chain(
-        ((i,) for i in identities if not check_infomorphism(i)),
+        ((i,) for i in identity.values() if not check_infomorphism(i)),
         ((m,) for m in maps if not neutral(m)),
     )
     return CategoryLawReport(
         (
-            _law("identity", len(identities) + len(maps), identity_failures),
+            _law("identity", len(identity) + len(maps), identity_failures),
             _law("composition-closure", len(pairs),
-                 (p for p in pairs if not check_infomorphism(compose_maps(*p)))),
-            _law("associativity", len(triples), (t for t in triples if not associates(*t))),
+                 ((maps[i], maps[j]) for i, j in pairs if not check_infomorphism(composite[i, j]))),
+            _law("associativity", len(triples),
+                 ((maps[i], maps[j], maps[k]) for i, j, k in triples if not associates(i, j, k))),
         ),
         excluded,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -22,16 +23,31 @@ from .iflattice import MAX_CARRIER, IFLattice, powerset_lattice
 DEFAULT_MAX_DENOMINATOR = 12
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """What ``rng.randrange(n)`` returns, from the same draws, for n >= 1.
+
+    ``random.Random`` draws ``getrandbits(n.bit_length())`` until the value
+    is below n; ``randint(a, b)`` is ``a + _below(rng, b - a + 1)`` and
+    ``choice(seq)`` is ``seq[_below(rng, len(seq))]``.  Calling
+    ``getrandbits`` here skips the two Python frames those methods add.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_cell(rng: random.Random, strict: bool = False) -> tuple[int, int, int, int]:
     """Draw (a, p, b, q) for the pair (a/p, b/q), with a/p + b/q <= 1 and,
     if ``strict``, b/q < 1 (the edge stays in the derived order)."""
-    p = rng.randint(1, DEFAULT_MAX_DENOMINATOR)
-    a = rng.randint(0, p)
-    q = rng.randint(1, DEFAULT_MAX_DENOMINATOR)
+    p = 1 + _below(rng, DEFAULT_MAX_DENOMINATOR)
+    a = _below(rng, p + 1)
+    q = 1 + _below(rng, DEFAULT_MAX_DENOMINATOR)
     smax = (p - a) * q // p
     if strict and a == 0:
         smax = min(smax, q - 1)
-    return a, p, rng.randint(0, smax), q
+    return a, p, _below(rng, smax + 1), q
 
 
 def random_if_pair(rng: random.Random) -> IFPair:
@@ -57,9 +73,8 @@ def random_crisp_diagram(
     rng: random.Random, max_atoms: int = 4, max_fragment: int = 6
 ) -> Diagram:
     _check_bounds(max_atoms, MAX_ATOMS, max_fragment)
-    n = rng.randint(1, max_atoms)
-    algebra = BooleanAlgebra.of(n)
-    size = rng.randint(1, min(max_fragment, algebra.carrier_size))
+    algebra = BooleanAlgebra.of(1 + _below(rng, max_atoms))
+    size = 1 + _below(rng, min(max_fragment, algebra.carrier_size))
     bits = rng.sample(range(algebra.carrier_size), size)
     return Diagram(algebra, tuple(algebra.element(b) for b in bits))
 
@@ -96,12 +111,17 @@ def _build_order(crisp: IFLattice, cells: dict) -> IFLattice:
     return IFLattice(transitive_closure(relation))
 
 
+@cache
+def _powerset_order(atom_count: int) -> IFLattice:
+    """``powerset_lattice`` by atom count, without building the algebra
+    again for every sampled candidate."""
+    return powerset_lattice(BooleanAlgebra.of(atom_count))
+
+
 def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
     """A random fuzzification of the subset order on a powerset carrier: its
     derived crisp structure is exactly the Boolean powerset lattice."""
-    if isinstance(algebra, int):
-        algebra = BooleanAlgebra.of(algebra)
-    crisp = powerset_lattice(algebra)
+    crisp = _powerset_order(algebra) if isinstance(algebra, int) else powerset_lattice(algebra)
     return _build_order(crisp, _draw_order(rng, crisp))
 
 
@@ -110,10 +130,10 @@ def _draw_fuzzy_diagram(
 ) -> tuple[IFLattice, dict, list[int]]:
     """The draws of ``random_fuzzy_diagram``: the crisp powerset order, the
     order's raw cells and the sorted fragment indices."""
-    crisp = powerset_lattice(BooleanAlgebra.of(rng.randint(1, max_atoms)))
+    crisp = _powerset_order(1 + _below(rng, max_atoms))
     cells = _draw_order(rng, crisp)
     size = len(crisp.carrier)
-    return crisp, cells, sorted(rng.sample(range(size), rng.randint(1, min(max_fragment, size))))
+    return crisp, cells, sorted(rng.sample(range(size), 1 + _below(rng, min(max_fragment, size))))
 
 
 def _build_fuzzy_diagram(
@@ -162,12 +182,12 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
 def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> DiagramMap:
     """One infomorphism out of ``source``: identity, inclusion, relabeling
     isomorphism, or a rejection-sampled random map."""
-    kind = rng.choice(("identity", "inclusion", "permutation", "random"))
+    kind = ("identity", "inclusion", "permutation", "random")[_below(rng, 4)]
     if kind == "inclusion":
         carrier = source.lattice.carrier
         extra = [x for x in carrier if x not in source.fragment]
         rng.shuffle(extra)
-        grown = source.fragment + tuple(extra[: rng.randint(0, min(2, len(extra)))])
+        grown = source.fragment + tuple(extra[: _below(rng, min(2, len(extra)) + 1)])
         target = FuzzyAristotelianDiagram(source.lattice, grown, tolerance=source.tolerance)
         return DiagramMap(source, target, tuple(range(len(source.fragment))))
     if kind == "permutation":
@@ -185,7 +205,7 @@ def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> Diagra
         # _draw_order), so only the accepted candidate is built
         for _ in range(8):
             crisp, cells, index = _draw_fuzzy_diagram(rng, 3, 4)
-            mapping = tuple(rng.randrange(len(index)) for _ in source.fragment)
+            mapping = tuple(_below(rng, len(index)) for _ in source.fragment)
             table = crisp._structure.kind_table
             if _keeps_informativity(source.kind_table, table, [index[j] for j in mapping]):
                 return DiagramMap(source, _build_fuzzy_diagram(crisp, cells, index), mapping)

@@ -36,8 +36,8 @@ from squareop.fuzzydiagram import (
 from squareop.ifrel import IFRelation, transitive_closure
 from squareop.iflattice import IFLattice, LawViolationError, _OrderStructure, powerset_lattice
 from squareop.sampling import (
+    _below,
     _permute_lattice,
-    _random_cell,
     composable_infomorphism_triples,
     random_crisp_diagram,
     random_fuzzy_diagram,
@@ -437,6 +437,24 @@ class TestCategoryLaws:
                 tuple(classify_fuzzy(d, x, y).kind for y in d.fragment) for x in d.fragment
             )
 
+    def test_each_composable_pair_is_composed_once(self, monkeypatch):
+        """One composite per composable pair, two compositions per triple
+        (each side reuses a pair's composite) and two per sample map."""
+        maps = [m for t in composable_infomorphism_triples(random.Random(23), 6) for m in t]
+        pairs = [(a, b) for a in maps for b in maps if a.target == b.source]
+        triples = [(a, b, c) for a, b in pairs for c in maps if b.target == c.source]
+        clean = verify_category_laws(maps)
+        calls = []
+
+        def counted(first, second):
+            calls.append((first, second))
+            return compose_fuzzy_maps(first, second)
+
+        monkeypatch.setattr("squareop.fuzzydiagram.compose_maps", counted)
+        assert verify_category_laws(maps) == clean
+        assert clean.all_pass and len(triples) > len(pairs) > len(maps)
+        assert len(calls) == len(pairs) + 2 * len(triples) + 2 * len(maps)
+
     def test_non_infomorphism_is_flagged_and_excluded(self):
         fd = embed_diagram(canonical_square())
         collapse = FuzzyDiagramMap(fd, fd, (0, 0, 0, 0))  # CD pairs land on BI
@@ -580,14 +598,25 @@ class TestAnnotatedSquare:
 
 
 # The eager sampler as it stood before candidates were decided on the crisp
-# kind table: it builds every candidate, then checks the map.  The
-# differential test holds the current sampler to its objects and its draws.
+# kind table: it builds every candidate, then checks the map, and it draws
+# through randint, randrange and choice.  The differential test holds the
+# current sampler to its objects and its draws.
+def eager_cell(rng):
+    p = rng.randint(1, 12)
+    a = rng.randint(0, p)
+    q = rng.randint(1, 12)
+    smax = (p - a) * q // p
+    if a == 0:
+        smax = min(smax, q - 1)
+    return a, p, rng.randint(0, smax), q
+
+
 def eager_powerset_order(rng, atom_count):
     crisp = powerset_lattice(BooleanAlgebra.of(atom_count))
     labels = crisp.carrier
     size = len(labels)
     cells = {
-        (i, j): _random_cell(rng, strict=True)
+        (i, j): eager_cell(rng)
         for i in range(size)
         for j in range(size)
         if i != j and i & j == i
@@ -648,7 +677,37 @@ def eager_triples(rng, count):
     return triples
 
 
+# every bound the sampler draws below: denominators and numerators (1-13),
+# atom counts (1-16), fragment sizes up to a 16-atom carrier, step kinds (4)
+# and mapping indices; 1 is randint(0, 0), which still draws bits
+DRAW_BOUNDS = (*range(1, 18), 255, 256, 257, 2**16 - 1, 2**16)
+
+
 class TestSampler:
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.randrange(n),
+        lambda rng, n: rng.randint(0, n - 1),
+        lambda rng, n: rng.randint(1, n) - 1,
+        lambda rng, n: rng.choice(range(n)),
+    ], ids=["randrange", "randint-0", "randint-1", "choice"])
+    def test_draws_equal_the_standard_library(self, draw):
+        for seed in range(200):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for n in DRAW_BOUNDS:
+                assert _below(ours, n) == draw(stdlib, n)
+                assert ours.getstate() == stdlib.getstate()
+
+    def test_a_width_one_draw_still_draws_bits(self):
+        """randint(0, 0) draws getrandbits(1) until it reads 0, so a shortcut
+        returning 0 unread would shift every later draw."""
+        for seed in range(200):
+            ours, bits = random.Random(seed), random.Random(seed)
+            state = ours.getstate()
+            assert _below(ours, 1) == 0
+            while bits.getrandbits(1):
+                pass
+            assert ours.getstate() == bits.getstate() != state
+
     def test_triples_match_the_eager_sampler(self):
         for seed in range(300):
             ours, eager = random.Random(seed), random.Random(seed)

@@ -87,3 +87,31 @@ def test_outputs_match_the_digests(replay_dir):
             f"stdout starts {out[:300]!r}\nstderr starts {err[:300]!r}"
         )
     assert sorted(seen) == sorted(expected) and len(seen) == 36 * len(SEEDS) + 4
+
+
+def _update_script():
+    spec = importlib.util.spec_from_file_location(
+        "_update_replay", Path(__file__).parent / "golden" / "update_replay.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_mode_names_changed_runs_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    script = _update_script()
+    results = {"1/same": (0, "ok\n", ""), "1/changed": (1, "✗\n", ""), "2/new": (2, "", "e\n")}
+    monkeypatch.setattr(script, "runs", lambda directory: (
+        (key, [], *result) for key, result in results.items()))
+    digests = tmp_path / "replay.json"
+    monkeypatch.setattr(script, "DIGESTS", digests)
+    text = json.dumps({"1/same": digest(results["1/same"]),
+                       "1/changed": digest((1, "✓\n", "")), "3/gone": "0" * 64})
+    digests.write_text(text)
+    assert script.main(["--check"]) == 1
+    assert capsys.readouterr().out.split("\n") == [
+        "changed: 1/changed", "changed: 2/new", "changed: 3/gone", ""]
+    assert digests.read_text() == text
+    del results["1/changed"], results["2/new"]
+    digests.write_text(json.dumps({"1/same": digest(results["1/same"])}))
+    assert script.main(["--check"]) == 0
+    assert capsys.readouterr().out == "1 digests unchanged\n"
