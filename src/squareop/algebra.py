@@ -13,6 +13,7 @@ they are safe to share across threads without coordination.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from ._record import record
@@ -51,8 +52,12 @@ class BooleanAlgebra:
         object.__setattr__(self, "atoms", atoms)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def of(cls, atom_count: int) -> "BooleanAlgebra":
-        """Algebra over ``atom_count`` atoms with default labels a, b, c, ..."""
+        """Algebra over ``atom_count`` atoms with default labels a, b, c, ...
+
+        One instance per atom count, shared by every caller (records are
+        immutable), so ``powerset_lattice`` finds it by its kept hash."""
         if not 1 <= atom_count <= MAX_ATOMS:
             raise ValueError(f"atom count must be between 1 and {MAX_ATOMS}, got {atom_count}")
         return cls(tuple(_DEFAULT_ATOM_NAMES[:atom_count]))

@@ -158,9 +158,6 @@ def _parse_map(text: str, source, target) -> DiagramMap:
         mapping = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"--map must be comma-separated indices, got {text!r}", BAD_INPUT)
-    size = len(source.fragment)
-    if len(mapping) != size:
-        raise CliError(f"--map must list {size} indices, got {len(mapping)}", BAD_INPUT)
     try:
         return DiagramMap(source, target, mapping)
     except ValueError as exc:

@@ -20,6 +20,10 @@ The clauses are tested in exactly this order and the first match wins.  For
 contingent elements (neither 0 nor 1) the clauses are mutually exclusive, so
 the order only matters at the bounds (e.g. x = 0, y = 1 satisfies both the
 LI and CD conditions and classifies as LI).
+
+The fragment and label rules of every diagram, crisp or fuzzy, live here,
+in ``_check_fragment`` and ``_check_aligned``; the constructors and the
+JSON readers call them.
 """
 
 from __future__ import annotations
@@ -164,6 +168,20 @@ def classify(x: Element, y: Element) -> RelationKind:
     return _kind_table((x.bits, y.bits), x.algebra.mask)[0][1]
 
 
+def _check_fragment(fragment: Sequence, keys: Sequence) -> None:
+    """``fragment`` is not empty, and its elements' ``keys`` are distinct."""
+    if not fragment:
+        raise ValueError("fragment must not be empty")
+    if len(set(keys)) != len(fragment):
+        raise ValueError("fragment elements must be distinct")
+
+
+def _check_aligned(labels: Sequence[str], fragment: Sequence) -> None:
+    """Explicit ``labels``, if any, name the ``fragment`` one to one."""
+    if labels and len(labels) != len(fragment):
+        raise ValueError("labels must align with the fragment")
+
+
 @record
 class Diagram:
     """A fragment of a Boolean algebra with display labels.
@@ -181,18 +199,14 @@ class Diagram:
     ) -> None:
         if not isinstance(fragment, tuple):
             fragment = tuple(fragment)
-        if not fragment:
-            raise ValueError("fragment must not be empty")
         for e in fragment:
             if e.algebra != algebra:
                 raise AlgebraMismatchError("fragment element does not belong to the diagram algebra")
-        if len({e.bits for e in fragment}) != len(fragment):
-            raise ValueError("fragment elements must be distinct")
+        _check_fragment(fragment, [e.bits for e in fragment])
         if labels:
             if not isinstance(labels, tuple):
                 labels = tuple(labels)
-            if len(labels) != len(fragment):
-                raise ValueError("labels must align with the fragment")
+            _check_aligned(labels, fragment)
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "fragment", fragment)
@@ -264,7 +278,9 @@ class DiagramMap:
         except TypeError:
             raise ValueError(f"mapping target indices must be integers, got {mapping!r}") from None
         if len(indices) != len(source.fragment):
-            raise ValueError("mapping must be total on the source fragment")
+            raise ValueError(
+                f"mapping must list {len(source.fragment)} target indices, got {len(indices)}"
+            )
         for j in indices:
             if not 0 <= j < len(target.fragment):
                 raise ValueError(f"mapping target index {j} out of range")

@@ -19,6 +19,10 @@ Witnessing edges per kind (R is the fuzzy order, neg the unique complement):
 Bi-implication additionally gets a tolerance-based reading: x and y count as
 fuzzily bi-implied when the membership and nonmembership degrees of the
 order edge differ by at most the diagram tolerance (default 1/100).
+
+A fuzzy fragment obeys the rules of ``diagram`` and lies in the carrier:
+``_check_fuzzy_fragment`` states that once, for the constructor and the
+JSON reader.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .diagram import (
     Diagram,
     DiagramMap,
     RelationKind,
+    _check_aligned,
+    _check_fragment,
     canonical_square,
     check_infomorphism,
     compose_maps,
@@ -43,6 +49,14 @@ from .diagram import (
 from .iflattice import IFLattice, LawViolationError, powerset_lattice
 
 DEFAULT_TOLERANCE = Fraction(1, 100)
+
+
+def _check_fuzzy_fragment(fragment: tuple[str, ...], carrier: tuple[str, ...]) -> None:
+    """Every diagram's fragment rules, keyed by label, and carrier membership."""
+    _check_fragment(fragment, fragment)
+    for x in fragment:
+        if x not in carrier:
+            raise ValueError(f"fragment element {x!r} is not in the carrier")
 
 
 @record
@@ -63,18 +77,11 @@ class FuzzyAristotelianDiagram:
     ) -> None:
         fragment = tuple(fragment)
         tolerance = degree(tolerance)
-        if not fragment:
-            raise ValueError("fragment must not be empty")
-        if len(set(fragment)) != len(fragment):
-            raise ValueError("fragment elements must be distinct")
-        for x in fragment:
-            if x not in lattice.carrier:
-                raise ValueError(f"fragment element {x!r} is not in the carrier")
+        _check_fuzzy_fragment(fragment, lattice.carrier)
         if not lattice.is_if_boolean_algebra:
             raise ValueError("the underlying lattice is not a fuzzy Boolean algebra")
         labels = tuple(labels) if labels else fragment
-        if len(labels) != len(fragment):
-            raise ValueError("labels must align with the fragment")
+        _check_aligned(labels, fragment)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "fragment", fragment)
         object.__setattr__(self, "labels", labels)

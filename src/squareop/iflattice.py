@@ -163,10 +163,6 @@ class IFLattice:
 
     order: IFRelation
 
-    def __init__(self, order: IFRelation) -> None:
-        object.__setattr__(self, "order", order)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not self.order.is_square:
             raise ValueError("the order must be a square relation on the carrier")
@@ -260,14 +256,9 @@ class IFLattice:
         """
         if self.is_if_boolean_algebra:
             return True
-        failed = []
-        if not self.is_lattice:
-            failed.append("lattice")
-        else:
-            if not self.is_complemented:
-                failed.append("complemented")
-            if not self.is_distributive:
-                failed.append("distributive")
+        cert = certify(self.order)
+        failed = [name for name in ("lattice", "complemented", "distributive")
+                  if getattr(cert, name) is False]
         raise PreconditionError(
             "check_de_morgan preconditions unmet: " + ", ".join(failed), tuple(failed)
         )

@@ -1,8 +1,10 @@
 """JSON schemas for every value the CLI reads or writes.
 
 Degrees travel as strings ("1/2", "0.3"); elements as sorted atom-label
-arrays.  Parsers validate shape and invariants and raise InputFormatError
-with the offending JSON path, which the CLI maps to exit code 2.  Degree
+arrays.  Parsers check the JSON shape and raise InputFormatError with the
+offending JSON path, which the CLI maps to exit code 2.  They restate no
+constructor rule: they call the rules of each value's own module, and
+``_checked`` alone gives a rule's ValueError its path.  Degree
 strings follow the grammar and caps of ``degrees``.  Each distinct degree
 string is parsed once per document, to a reduced int pair ``(p, q)``, in one
 pass over a matrix's (or a fuzzy set's) new strings: plain ASCII "p" and
@@ -26,11 +28,11 @@ Schemas:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from .algebra import BooleanAlgebra, Element
 from .degrees import Degree, FuzzySet, _plain, degree
-from .diagram import Diagram
+from .diagram import Diagram, _check_aligned, _check_fragment
 
 if TYPE_CHECKING:
     from .degrees import IFPair
@@ -63,6 +65,14 @@ class InputFormatError(ValueError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _checked(path: str, build: Callable, *args: Any) -> Any:
+    """``build(*args)``, with the ``ValueError`` it raises reported at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise InputFormatError(str(exc), path) from None
 
 
 def _expect(condition: bool, message: str, path: str) -> None:
@@ -101,10 +111,7 @@ def _degree(obj: Any, path: str, memo: dict[str, Pair]) -> Pair:
     if type(obj) is str and obj in memo:
         return memo[obj]
     text = _expect_str(obj, path)
-    try:
-        pair = memo[text] = degree(text).as_integer_ratio()
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path) from None
+    pair = memo[text] = _checked(path, degree, text).as_integer_ratio()
     return pair
 
 
@@ -141,21 +148,14 @@ def algebra_from_json(obj: Any, path: str = "$") -> BooleanAlgebra:
     record = _expect_object(obj, path)
     _expect("atoms" in record, 'missing key "atoms"', path)
     atoms = _string_list(record["atoms"], f"{path}.atoms")
-    try:
-        return BooleanAlgebra(atoms)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), f"{path}.atoms") from None
+    return _checked(f"{path}.atoms", BooleanAlgebra, atoms)
 
 
 def element_to_json(e: Element) -> list[str]:
     return sorted(e.atom_labels())
 
 def element_from_json(obj: Any, algebra: BooleanAlgebra, path: str = "$") -> Element:
-    labels = _string_list(obj, path)
-    try:
-        return algebra.from_atoms(labels)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path) from None
+    return _checked(path, algebra.from_atoms, _string_list(obj, path))
 
 
 def diagram_to_json(d: Diagram) -> dict:
@@ -191,10 +191,11 @@ def diagram_from_json(obj: Any, path: str = "$") -> Diagram:
     labels: tuple[str, ...] = ()
     if "labels" in record:
         labels = _string_list(record["labels"], f"{path}.labels")
-    try:
-        return Diagram(algebra, tuple(fragment), labels)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path) from None
+    # Diagram's rules, each at its own path; its algebra rule cannot fail here
+    fragment = tuple(fragment)
+    _checked(f"{path}.fragment", _check_fragment, fragment, [e.bits for e in fragment])
+    _checked(f"{path}.labels", _check_aligned, labels, fragment)
+    return Diagram(algebra, fragment, labels)
 
 
 def kind_table_to_json(labels: tuple[str, ...], table) -> dict:
@@ -249,17 +250,13 @@ def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
     if len(raw) > MAX_RELATION:  # well-formed but too large: a refusal, not exit 2
         raise ValueError(f"relation larger than {MAX_RELATION} refused: the order checks are cubic")
     labels = _string_list(raw, f"{path}.{key}")
-    _expect(len(labels) >= 1, "the set must not be empty", f"{path}.{key}")
+    _checked(f"{path}.{key}", _check_labels, labels, "source")
     for mkey in ("mu", "nu"):
         _expect(mkey in record, f'missing key "{mkey}"', path)
     n = len(labels)
     memo: dict[str, Pair] = {}
     mu = _degree_matrix(record["mu"], n, n, f"{path}.mu", memo)
     nu = _degree_matrix(record["nu"], n, n, f"{path}.nu", memo)
-    try:
-        _check_labels(labels, "source")
-    except ValueError as exc:  # duplicate or blank labels
-        raise InputFormatError(str(exc), f"{path}.{key}") from None
     try:
         return IFRelation._from_cells(labels, labels, mu, nu, memo)
     except DegreeSumError as exc:
@@ -273,17 +270,8 @@ def lattice_to_json(lattice: IFLattice) -> dict:
 
 
 def certification_to_json(cert: LatticeCertification) -> dict:
-    return {
-        "reflexive": cert.reflexive,
-        "perfectly_antisymmetric": cert.perfectly_antisymmetric,
-        "transitive": cert.transitive,
-        "partial_order": cert.partial_order,
-        "lattice": cert.lattice,
-        "distributive": cert.distributive,
-        "complemented": cert.complemented,
-        "de_morgan": cert.de_morgan,
-        "if_boolean_algebra": cert.if_boolean_algebra,
-    }
+    """Every field of the certification, keyed by its name, in field order."""
+    return {name: getattr(cert, name) for name in type(cert).__annotations__}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def fuzzy_diagram_to_json(d: FuzzyAristotelianDiagram) -> dict:
     }
 
 def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagram:
-    from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram
+    from .fuzzydiagram import DEFAULT_TOLERANCE, FuzzyAristotelianDiagram, _check_fuzzy_fragment
     from .iflattice import IFLattice
 
     record = _expect_object(obj, path)
@@ -335,14 +323,8 @@ def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagr
     tolerance = DEFAULT_TOLERANCE
     if "tolerance" in record:
         tolerance = Degree(*_degree(record["tolerance"], f"{path}.tolerance", {}))
-    _expect(len(fragment) >= 1, "fragment must not be empty", f"{path}.fragment")
-    _expect(len(set(fragment)) == len(fragment), "fragment elements must be distinct",
-            f"{path}.fragment")
-    for x in fragment:
-        _expect(x in order.source, f"fragment element {x!r} is not in the carrier",
-                f"{path}.fragment")
-    _expect(not labels or len(labels) == len(fragment), "labels must align with the fragment",
-            f"{path}.labels")
+    _checked(f"{path}.fragment", _check_fuzzy_fragment, fragment, order.source)
+    _checked(f"{path}.labels", _check_aligned, labels, fragment)
     # order-theoretic failures (not a partial order, not a Boolean algebra)
     # are property failures, not schema errors; let ValueError propagate
     lattice = IFLattice(order)

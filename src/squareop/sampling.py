@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -111,17 +110,10 @@ def _build_order(crisp: IFLattice, cells: dict) -> IFLattice:
     return IFLattice(transitive_closure(relation))
 
 
-@cache
-def _powerset_order(atom_count: int) -> IFLattice:
-    """``powerset_lattice`` by atom count, without building the algebra
-    again for every sampled candidate."""
-    return powerset_lattice(BooleanAlgebra.of(atom_count))
-
-
 def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
     """A random fuzzification of the subset order on a powerset carrier: its
     derived crisp structure is exactly the Boolean powerset lattice."""
-    crisp = _powerset_order(algebra) if isinstance(algebra, int) else powerset_lattice(algebra)
+    crisp = powerset_lattice(BooleanAlgebra.of(algebra) if isinstance(algebra, int) else algebra)
     return _build_order(crisp, _draw_order(rng, crisp))
 
 
@@ -130,7 +122,7 @@ def _draw_fuzzy_diagram(
 ) -> tuple[IFLattice, dict, list[int]]:
     """The draws of ``random_fuzzy_diagram``: the crisp powerset order, the
     order's raw cells and the sorted fragment indices."""
-    crisp = _powerset_order(1 + _below(rng, max_atoms))
+    crisp = powerset_lattice(BooleanAlgebra.of(1 + _below(rng, max_atoms)))
     cells = _draw_order(rng, crisp)
     size = len(crisp.carrier)
     return crisp, cells, sorted(rng.sample(range(size), 1 + _below(rng, min(max_fragment, size))))

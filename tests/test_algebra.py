@@ -115,6 +115,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BooleanAlgebra(("a", "a"))
 
+    @pytest.mark.parametrize("atoms, message", [
+        ((), "atom count must be between 1 and 16, got 0"),
+        (tuple("abcdefghijklmnopq"), "atom count must be between 1 and 16, got 17"),
+        (("a", ""), "atom labels must be non-empty strings"),
+    ], ids=["0-atoms", "17-atoms", "blank-atom"])
+    def test_constructor_refusals(self, atoms, message):
+        with pytest.raises(ValueError) as exc:
+            BooleanAlgebra(atoms)
+        assert str(exc.value) == message
+
+    def test_of_shares_one_instance_per_atom_count(self):
+        assert BooleanAlgebra.of(3) is BooleanAlgebra.of(3)
+        assert BooleanAlgebra.of(3) == BooleanAlgebra(("a", "b", "c"))
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_atom_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"atom index {index} out of range"):
+            BooleanAlgebra.of(3).atom(index)
+
+    def test_meet_with_a_non_element(self):
+        with pytest.raises(TypeError, match="expected an Element, got int"):
+            BooleanAlgebra.of(2).top.meet(1)
+
     def test_element_bits_range(self):
         b = BooleanAlgebra.of(2)
         with pytest.raises(ValueError):
@@ -140,6 +163,10 @@ class TestConstruction:
 
 
 class TestVerifyAxioms:
+    def test_check_of_an_unknown_law(self):
+        with pytest.raises(KeyError):
+            verify_axioms(BooleanAlgebra.of(1)).check("no such law")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_all_laws_pass(self, n):
         report = verify_axioms(BooleanAlgebra.of(n))

@@ -74,6 +74,61 @@ fuzzy bi-implication within tolerance: none
 """
 
 
+SQUARE_DOC = diagram_to_json(canonical_square())
+FUZZY_SQUARE_DOC = fuzzy_diagram_to_json(embed_diagram(canonical_square()))
+_RAGGED_LATTICE = dict(FUZZY_SQUARE_DOC["lattice"], mu=[
+    row[:-1] if i == 1 else row for i, row in enumerate(FUZZY_SQUARE_DOC["lattice"]["mu"])])
+
+# (id, argv, document, stderr): every malformed document exits 2 with no
+# stdout and one line naming its field; crisp and fuzzy diagrams side by
+# side.  "IN" is the document, "SQ" the canonical square.
+MALFORMED = [
+    ("crisp-empty-fragment", ["classify", "IN"], dict(SQUARE_DOC, fragment=[], labels=[]),
+     "$.fragment: fragment must not be empty"),
+    ("fuzzy-empty-fragment", ["fuzzy-classify", "IN"],
+     dict(FUZZY_SQUARE_DOC, fragment=[], labels=[]), "$.fragment: fragment must not be empty"),
+    ("crisp-duplicate-fragment", ["classify", "IN"],
+     dict(SQUARE_DOC, fragment=[["all"], ["all"]], labels=["A", "B"]),
+     "$.fragment: fragment elements must be distinct"),
+    ("fuzzy-duplicate-fragment", ["fuzzy-classify", "IN"],
+     dict(FUZZY_SQUARE_DOC, fragment=["{all}", "{all}"], labels=["A", "B"]),
+     "$.fragment: fragment elements must be distinct"),
+    ("crisp-misaligned-labels", ["classify", "IN"], dict(SQUARE_DOC, labels=["only one"]),
+     "$.labels: labels must align with the fragment"),
+    ("fuzzy-misaligned-labels", ["fuzzy-classify", "IN"],
+     dict(FUZZY_SQUARE_DOC, labels=["only one"]), "$.labels: labels must align with the fragment"),
+    ("crisp-foreign-element", ["classify", "IN"], dict(SQUARE_DOC, fragment=[["all"], ["z"]]),
+     "$.fragment[1]: unknown atom label 'z'"),
+    ("fuzzy-foreign-element", ["fuzzy-classify", "IN"],
+     dict(FUZZY_SQUARE_DOC, fragment=["{all}", "{z}"], labels=[]),
+     "$.fragment: fragment element '{z}' is not in the carrier"),
+    ("relation-empty-set", ["ifrel-check", "IN"], {"set": [], "mu": [], "nu": []},
+     "$.set: source set must not be empty"),
+    ("fuzzy-empty-carrier", ["fuzzy-classify", "IN"],
+     dict(FUZZY_SQUARE_DOC, lattice={"carrier": [], "mu": [], "nu": []}),
+     "$.lattice.carrier: source set must not be empty"),
+    ("relation-ragged-rows", ["ifrel-check", "IN"],
+     {"set": ["x", "y"], "mu": [["1", "0"], ["1"]], "nu": [["0", "1"], ["0", "0"]]},
+     "$.mu[1]: expected 2 columns, got 1"),
+    ("fuzzy-ragged-rows", ["fuzzy-classify", "IN"], dict(FUZZY_SQUARE_DOC, lattice=_RAGGED_LATTICE),
+     "$.lattice.mu[1]: expected 8 columns, got 7"),
+    ("algebra-0-atoms", ["validate", "IN"], {"atoms": []},
+     "$.atoms: atom count must be between 1 and 16, got 0"),
+    ("crisp-0-atoms", ["classify", "IN"], dict(SQUARE_DOC, algebra={"atoms": []}),
+     "$.algebra.atoms: atom count must be between 1 and 16, got 0"),
+    ("algebra-17-atoms", ["validate", "IN"], {"atoms": list("abcdefghijklmnopq")},
+     "$.atoms: atom count must be between 1 and 16, got 17"),
+    ("algebra-blank-atom", ["validate", "IN"], {"atoms": ["a", ""]},
+     "$.atoms: atom labels must be non-empty strings"),
+    ("iso-map-wrong-length", ["iso", "SQ", "SQ", "--map", "0,1,2"], None,
+     "--map: mapping must list 4 target indices, got 3"),
+    ("info-map-wrong-length", ["info", "SQ", "SQ", "--map", "0,1,2"], None,
+     "--map: mapping must list 4 target indices, got 3"),
+    ("iso-map-not-a-bijection", ["iso", "SQ", "SQ", "--map", "0,0,1,2"], None,
+     "--map is not a bijection"),
+]
+
+
 @pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.json"
@@ -191,6 +246,16 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert "$.x" in err and "exponent" in err
+
+    def test_valid_relation(self, identity_relation_file, capsys):
+        assert run(capsys, "validate", identity_relation_file) == (
+            0, "OK: relation (square relation on 2 points)\n", "")
+
+    def test_valid_fuzzy_diagram(self, tmp_path, capsys):
+        path = tmp_path / "fuzzy.json"
+        path.write_text(json.dumps(FUZZY_SQUARE_DOC))
+        assert run(capsys, "validate", str(path)) == (
+            0, "OK: fuzzy-diagram (4 fragment elements over a 8-element carrier)\n", "")
 
     def test_explicit_kind(self, tmp_path, capsys):
         path = tmp_path / "alg.json"
@@ -851,6 +916,15 @@ class TestErrorsBecomeExitCodes:
         code, out, err = run(capsys, command, str(file))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("argv, doc, message", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_document_exits_2_naming_its_field(self, tmp_path, square_file, capsys,
+                                                        argv, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "IN" else square_file if a == "SQ" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def _env(encoding="utf-8"):

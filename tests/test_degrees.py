@@ -49,6 +49,14 @@ class TestDegreeParsing:
         with pytest.raises(TypeError):
             degree(0.3)
 
+    def test_booleans_rejected(self):
+        with pytest.raises(TypeError, match="not booleans"):
+            degree(True)
+
+    def test_parse_degree_takes_only_strings(self):
+        with pytest.raises(TypeError, match="expected a degree string, got int"):
+            parse_degree(1)
+
     def test_format_roundtrip(self):
         for text in ["0", "1", "1/2", "3/10"]:
             assert format_degree(parse_degree(text)) == text
@@ -261,6 +269,16 @@ class TestContradictionDegree:
 
 
 class TestFuzzySetValidation:
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError, match="domain must not be empty"):
+            FuzzySet((), ())
+
+    def test_a_negation_name_is_registered_once(self):
+        standard = degrees.NEGATIONS["standard"]
+        with pytest.raises(ValueError, match="negation 'standard' already registered"):
+            degrees.register_negation("standard", lambda a: a)
+        assert degrees.NEGATIONS["standard"] is standard
+
     @pytest.mark.parametrize(
         "make",
         [

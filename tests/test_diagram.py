@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squareop.algebra import BooleanAlgebra
+from squareop.algebra import AlgebraMismatchError, BooleanAlgebra
 from squareop.diagram import (
     IMPLICATION_KINDS,
     INFORMATIVITY_COVERS,
@@ -183,6 +183,15 @@ class TestRelationTable:
         x = b.from_atoms(["a"])
         with pytest.raises(ValueError):
             Diagram(b, (x, x))
+
+    def test_empty_fragment_rejected(self):
+        with pytest.raises(ValueError, match="fragment must not be empty"):
+            Diagram(BooleanAlgebra.of(2), ())
+
+    def test_element_of_another_algebra_rejected(self):
+        other = BooleanAlgebra(("x", "y")).top
+        with pytest.raises(AlgebraMismatchError, match="does not belong to the diagram algebra"):
+            Diagram(BooleanAlgebra.of(2), (other,))
 
     def test_contingency_flag(self):
         b = BooleanAlgebra.of(2)
@@ -460,6 +469,11 @@ class TestIsomorphisms:
     def test_non_bijective_map_rejected(self):
         with pytest.raises(ValueError):
             check_iso(DiagramMap(self.square, self.square, (0, 0, 2, 3)))
+
+    def test_map_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            DiagramMap(self.square, self.square, (0, 1, 2))
+        assert str(exc.value) == "mapping must list 4 target indices, got 3"
 
     def test_square_has_exactly_two_isos(self):
         found = find_isos(self.square, self.square)

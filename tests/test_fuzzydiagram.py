@@ -86,6 +86,20 @@ class TestFuzzyBiImplication:
         assert fuzzy_bi_implication(d0, "{}", "{a}")
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("fragment, labels, message", [
+        ((), (), "fragment must not be empty"),
+        (("{a}", "{a}"), (), "fragment elements must be distinct"),
+        (("{z}",), (), "fragment element '{z}' is not in the carrier"),
+        (("{}", "{a}"), ("only one",), "labels must align with the fragment"),
+    ], ids=["empty", "duplicate", "outside-carrier", "misaligned-labels"])
+    def test_refusals(self, fragment, labels, message):
+        lat = powerset_lattice(BooleanAlgebra.of(1))
+        with pytest.raises(ValueError) as exc:
+            FuzzyAristotelianDiagram(lat, fragment, labels)
+        assert str(exc.value) == message
+
+
 class TestClassifyFuzzy:
     def test_diagonal_is_bi_with_full_annotation(self):
         lat = two_point_lattice(F(1, 2), F(1, 4))
@@ -341,6 +355,33 @@ class TestIFHomomorphism:
         lat = powerset_lattice(BooleanAlgebra.of(1))
         with pytest.raises(ValueError, match="total"):
             check_if_homomorphism(lat, lat, {"{}": "{}"})
+
+    def test_image_outside_the_target_rejected(self):
+        lat = powerset_lattice(BooleanAlgebra.of(1))
+        with pytest.raises(ValueError, match=r"mapping image '\{z\}' is not in the target carrier"):
+            check_if_homomorphism(lat, lat, {"{}": "{}", "{a}": "{z}"})
+
+    def test_lattice_that_is_not_a_boolean_algebra_rejected(self):
+        labels = ("0", "1", "2")
+        chain = IFLattice(IFRelation.from_bool(labels, labels, [[i <= j for j in range(3)]
+                                                                 for i in range(3)]))
+        lat = powerset_lattice(BooleanAlgebra.of(1))
+        with pytest.raises(ValueError, match="source lattice is not a fuzzy Boolean algebra"):
+            check_if_homomorphism(chain, lat, {x: "{}" for x in labels})
+
+    def test_map_breaking_negation_is_not(self):
+        lat = powerset_lattice(BooleanAlgebra.of(2))
+        # bounds kept, but neg {a} = {b} goes to {a}, while neg f({a}) = {b}
+        f = {"{}": "{}", "{a}": "{a}", "{b}": "{a}", "{a,b}": "{a,b}"}
+        assert not check_if_homomorphism(lat, lat, f)
+
+    def test_map_breaking_join_is_not(self):
+        lat = powerset_lattice(BooleanAlgebra.of(3))
+        # bounds and negation kept: each complementary pair goes to one;
+        # but f({a}) v f({b}) = {a,b} while f({a,b}) = {b,c}
+        f = {"{}": "{}", "{a,b,c}": "{a,b,c}", "{a}": "{a}", "{b,c}": "{b,c}",
+             "{b}": "{b}", "{a,c}": "{a,c}", "{c}": "{a}", "{a,b}": "{b,c}"}
+        assert not check_if_homomorphism(lat, lat, f)
 
     def test_embedding_into_bigger_algebra(self):
         small = powerset_lattice(BooleanAlgebra.of(1))

@@ -232,6 +232,16 @@ class TestComplements:
         assert set(comps) == {"q", "r"}
         assert diamond_m3().is_complemented
 
+    def test_m3_middle_has_no_unique_complement(self):
+        with pytest.raises(PreconditionError) as exc:
+            diamond_m3().unique_complement("p")
+        assert exc.value.failed == ("unique-complement",)
+
+    def test_non_square_order_rejected(self):
+        order = IFRelation.from_bool(("x", "y"), ("x",), [[True], [False]])
+        with pytest.raises(ValueError, match="the order must be a square relation"):
+            IFLattice(order)
+
 
 class TestDeMorgan:
     @pytest.mark.parametrize("n", [1, 2, 3])

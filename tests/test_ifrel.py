@@ -103,6 +103,14 @@ class TestRelationConstruction:
         with pytest.raises(ValueError):
             identity_relation(("x", "x"))
 
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="source set must not be empty"):
+            IFRelation((), (), (), ())
+
+    def test_from_bool_shape_checked(self):
+        with pytest.raises(ValueError, match="holds matrix must be 2x1"):
+            IFRelation.from_bool(("x", "y"), ("x",), [[True]])
+
     def test_common_denominator_is_bounded_before_the_degree_sum(self):
         # 40 elements, each mu cell over its own 128-bit denominator: refused
         # as the JSON reader refuses it, before any int cell is built

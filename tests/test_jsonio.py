@@ -84,6 +84,21 @@ class TestDiagnostics:
         with pytest.raises(InputFormatError, match="atoms"):
             algebra_from_json({})
 
+    @pytest.mark.parametrize("mu, path, message", [
+        (["1 0", ["0", "1"]], "$.mu[0]", "expected an array, got str"),
+        ([["1", "0"], ["0"]], "$.mu[1]", "expected 2 columns, got 1"),
+    ], ids=["row-not-a-list", "ragged-row"])
+    def test_bad_row_points_at_row(self, mu, path, message):
+        payload = {"set": ["x", "y"], "mu": mu, "nu": [["0", "1"], ["1", "0"]]}
+        with pytest.raises(InputFormatError) as exc:
+            relation_from_json(payload)
+        assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+    def test_only_square_relations_are_written(self):
+        r = IFRelation.from_bool(("x", "y"), ("x",), [[True], [False]])
+        with pytest.raises(ValueError, match="only square relations"):
+            relation_to_json(r)
+
     def test_bad_degree_points_at_cell(self):
         payload = {
             "set": ["x", "y"],
