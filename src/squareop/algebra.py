@@ -24,6 +24,16 @@ MAX_EXHAUSTIVE_ATOMS = 4
 _DEFAULT_ATOM_NAMES = "abcdefghijklmnop"
 
 
+def _check_labels(labels: tuple[str, ...], role: str) -> None:
+    """The one rule for atoms, relation labels and fuzzy-set points."""
+    if not labels:
+        raise ValueError(f"{role} set must not be empty")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{role} labels must be distinct")
+    if not all(isinstance(x, str) and x for x in labels):
+        raise ValueError(f"{role} labels must be non-empty strings")
+
+
 class AlgebraMismatchError(ValueError):
     """An operation was applied to elements of two different algebras."""
 
@@ -33,8 +43,8 @@ class BooleanAlgebra:
     """Powerset algebra over named atoms.
 
     The carrier is the full powerset of the atom set: exactly the bitmasks
-    ``0 .. 2**atom_count - 1``.  Atom labels must be distinct; the atom count
-    is capped at 16 so exhaustive law checks stay tractable.
+    ``0 .. 2**atom_count - 1``.  Atom labels follow ``_check_labels``; the atom
+    count is capped at 16 so exhaustive law checks stay tractable.
     """
 
     atoms: tuple[str, ...]
@@ -45,10 +55,7 @@ class BooleanAlgebra:
         n = len(atoms)
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be between 1 and {MAX_ATOMS}, got {n}")
-        if len(set(atoms)) != n:
-            raise ValueError("atom labels must be distinct")
-        if not all(isinstance(a, str) and a for a in atoms):
-            raise ValueError("atom labels must be non-empty strings")
+        _check_labels(atoms, "atom")
         object.__setattr__(self, "atoms", atoms)
 
     @classmethod

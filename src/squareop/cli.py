@@ -20,7 +20,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .degrees import IMPLICATIONS, NEGATIONS, OperatorChoice, contradiction_degree
+from .degrees import IMPLICATIONS, NEGATIONS, OperatorChoice, contradiction_degree, degree
 from .diagram import (
     DiagramMap,
     canonical_square,
@@ -31,6 +31,7 @@ from .diagram import (
 )
 from .jsonio import (
     InputFormatError,
+    _checked,
     algebra_from_json,
     certification_to_json,
     diagram_from_json,
@@ -158,10 +159,7 @@ def _parse_map(text: str, source, target) -> DiagramMap:
         mapping = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"--map must be comma-separated indices, got {text!r}", BAD_INPUT)
-    try:
-        return DiagramMap(source, target, mapping)
-    except ValueError as exc:
-        raise CliError(f"--map: {exc}", BAD_INPUT) from None
+    return _checked("--map", DiagramMap, source, target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +258,15 @@ def cmd_info(args):
 
 
 def cmd_ifrel_check(args):
-    from .ifrel import is_perfectly_antisymmetric, is_reflexive, is_transitive
+    from .ifrel import is_partial_order, is_perfectly_antisymmetric, is_reflexive, is_transitive
 
     relation = relation_from_json(_load(args.file))
     flags = {
         "reflexive": is_reflexive(relation),
         "perfectly_antisymmetric": is_perfectly_antisymmetric(relation),
         "transitive": is_transitive(relation),
+        "partial_order": is_partial_order(relation),
     }
-    flags["partial_order"] = all(flags.values())
     return (OK_EXIT if flags["partial_order"] else PROPERTY_FAILED), _flags(flags, args.format)
 
 
@@ -302,14 +300,14 @@ def cmd_contradiction(args):
 
 
 def cmd_fuzzy_classify(args):
-    from .fuzzydiagram import fuzzy_bi_implication, fuzzy_relation_table
+    from .fuzzydiagram import FuzzyAristotelianDiagram, fuzzy_bi_implication, fuzzy_relation_table
 
-    obj = _load(args.file)
-    if args.tolerance is not None:
-        if not isinstance(obj, dict):
-            raise CliError("fuzzy diagram file must hold a JSON object", BAD_INPUT)
-        obj = dict(obj, tolerance=args.tolerance)
-    d = fuzzy_diagram_from_json(obj)
+    # a malformed flag is named before the file is read, as a malformed field is
+    # before any property failure; a well-formed one overrides the file's tolerance
+    tolerance = None if args.tolerance is None else _checked("--tolerance", degree, args.tolerance)
+    d = fuzzy_diagram_from_json(_load(args.file))
+    if tolerance is not None:
+        d = FuzzyAristotelianDiagram(d.lattice, d.fragment, d.labels, tolerance)
     table = fuzzy_relation_table(d)
     bi_pairs = [
         (d.fragment[i], d.fragment[j])

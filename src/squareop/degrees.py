@@ -22,6 +22,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from ._record import record
+from .algebra import _check_labels
 
 Degree = Fraction
 
@@ -226,10 +227,7 @@ class FuzzySet:
 
     def __init__(self, domain: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
         domain, values = tuple(domain), tuple(values)
-        if not domain:
-            raise ValueError("domain must not be empty")
-        if len(set(domain)) != len(domain):
-            raise ValueError("domain labels must be distinct")
+        _check_labels(domain, "point")
         if len(values) != len(domain):
             raise ValueError("membership must be total on the domain")
         object.__setattr__(self, "domain", domain)

@@ -48,6 +48,7 @@ from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
 from ._record import record
+from .algebra import _check_labels
 from .degrees import IFPair, degree
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -59,15 +60,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 #: before any int cell is built: a relation of 40 elements whose cells have
 #: distinct 128-bit denominators passes it.
 MAX_DENOMINATOR_BITS = 2**27
-
-
-def _check_labels(labels: tuple[str, ...], role: str) -> None:
-    if not labels:
-        raise ValueError(f"{role} set must not be empty")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"{role} labels must be distinct")
-    if not all(isinstance(x, str) and x for x in labels):
-        raise ValueError(f"{role} labels must be non-empty strings")
 
 
 class DegreeSumError(ValueError):

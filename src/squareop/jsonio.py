@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from .algebra import BooleanAlgebra, Element
+from .algebra import BooleanAlgebra, Element, _check_labels
 from .degrees import Degree, FuzzySet, _plain, degree
 from .diagram import Diagram, _check_aligned, _check_fragment
 
@@ -237,7 +237,7 @@ def relation_to_json(r: IFRelation, key: str = "set") -> dict:
     }
 
 def relation_from_json(obj: Any, path: str = "$") -> IFRelation:
-    from .ifrel import DegreeSumError, IFRelation, _check_labels
+    from .ifrel import DegreeSumError, IFRelation
 
     record = _expect_object(obj, path)
     if "set" in record:
@@ -282,7 +282,6 @@ def fuzzy_set_to_json(s: FuzzySet) -> dict:
 
 def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
     record = _expect_object(obj, path)
-    _expect(len(record) >= 1, "fuzzy set must not be empty", path)
     if len(record) > MAX_POINTS:
         raise ValueError(f"fuzzy set larger than {MAX_POINTS} points refused")
     memo: dict[str, Pair] = {}
@@ -291,9 +290,11 @@ def fuzzy_set_from_json(obj: Any, path: str = "$") -> FuzzySet:
         _expect_str(label, path)
         if not read:
             _degree(value, f"{path}.{label}", memo)
+    domain = tuple(record)
+    _checked(path, _check_labels, domain, "point")
     made = {text: Degree(p, q) for text, (p, q) in memo.items()}
-    # the keys of a JSON object are distinct, and every value is a checked degree
-    return FuzzySet._trusted(tuple(record), tuple(map(made.__getitem__, record.values())))
+    # the labels are checked, and every value is a checked degree
+    return FuzzySet._trusted(domain, tuple(map(made.__getitem__, record.values())))
 
 
 def ifpair_to_json(p: IFPair) -> dict:

@@ -20,6 +20,7 @@ from .ifrel import IFRelation, transitive_closure
 from .iflattice import MAX_CARRIER, IFLattice, powerset_lattice
 
 DEFAULT_MAX_DENOMINATOR = 12
+_FUZZY_ATOMS, _FUZZY_FRAGMENT = 3, 4  # the default bounds of a sampled fuzzy diagram
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -136,7 +137,7 @@ def _build_fuzzy_diagram(
 
 
 def random_fuzzy_diagram(
-    rng: random.Random, max_atoms: int = 3, max_fragment: int = 4
+    rng: random.Random, max_atoms: int = _FUZZY_ATOMS, max_fragment: int = _FUZZY_FRAGMENT
 ) -> FuzzyAristotelianDiagram:
     _check_bounds(max_atoms, MAX_CARRIER.bit_length() - 1, max_fragment)
     return _build_fuzzy_diagram(*_draw_fuzzy_diagram(rng, max_atoms, max_fragment))
@@ -196,7 +197,7 @@ def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> Diagra
         # decided on the crisp kind table every candidate derives (see
         # _draw_order), so only the accepted candidate is built
         for _ in range(8):
-            crisp, cells, index = _draw_fuzzy_diagram(rng, 3, 4)
+            crisp, cells, index = _draw_fuzzy_diagram(rng, _FUZZY_ATOMS, _FUZZY_FRAGMENT)
             mapping = tuple(_below(rng, len(index)) for _ in source.fragment)
             table = crisp._structure.kind_table
             if _keeps_informativity(source.kind_table, table, [index[j] for j in mapping]):

@@ -445,6 +445,27 @@ class TestFuzzyClassify:
         assert code == 0
         assert json.loads(out)["tolerance"] == "1/5"
 
+    @pytest.mark.parametrize("doc", [FUZZY_SQUARE_DOC, []], ids=["square", "list"])
+    def test_bad_tolerance_flag_is_named_first(self, tmp_path, capsys, doc):
+        path = tmp_path / "fuzzy.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "fuzzy-classify", str(path), "--tolerance", "abc") == (
+            2, "", "error: --tolerance: cannot parse degree 'abc': "
+                   "Invalid literal for Fraction: 'abc'\n")
+
+    def test_flag_does_not_excuse_a_bad_file_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "fuzzy.json"
+        path.write_text(json.dumps(dict(FUZZY_SQUARE_DOC, tolerance="2")))
+        assert run(capsys, "fuzzy-classify", str(path), "--tolerance", "1/5") == (
+            2, "", "error: $.tolerance: degree 2 outside [0, 1]\n")
+
+    @pytest.mark.parametrize("flag", [[], ["--tolerance", "1/5"]], ids=["no-flag", "flag"])
+    def test_non_object_file_gets_the_readers_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert run(capsys, "fuzzy-classify", str(path), *flag) == (
+            2, "", "error: $: expected an object, got list\n")
+
     def test_non_boolean_lattice_is_exit_1(self, tmp_path, capsys):
         payload = {
             "lattice": {

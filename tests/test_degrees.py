@@ -270,7 +270,7 @@ class TestContradictionDegree:
 
 class TestFuzzySetValidation:
     def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError, match="domain must not be empty"):
+        with pytest.raises(ValueError, match="point set must not be empty"):
             FuzzySet((), ())
 
     def test_a_negation_name_is_registered_once(self):

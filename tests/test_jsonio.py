@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from squareop.algebra import BooleanAlgebra
 from squareop.diagram import canonical_square
 from squareop.fuzzydiagram import embed_diagram
-from squareop.iflattice import powerset_lattice
+from squareop.iflattice import IFLattice, powerset_lattice
 from squareop.ifrel import DegreeSumError, IFRelation, identity_relation
-from squareop import ifrel, jsonio
+from squareop import cli, ifrel, jsonio
 from squareop.jsonio import (
     MAX_FRAGMENT,
     InputFormatError,
@@ -572,3 +572,58 @@ class TestCommonDenominatorBound:
         with pytest.raises(InputFormatError) as info:
             relation_from_json(doc)
         assert info.value.path == path
+
+
+def _discrete(labels):
+    """The discrete order on ``labels`` as degree-string matrices (mu, nu)."""
+    n = len(labels)
+    return ([["1" if i == j else "0" for j in range(n)] for i in range(n)],
+            [["0" if i == j else "1" for j in range(n)] for i in range(n)])
+
+
+def _relation_doc(key, labels):
+    mu, nu = _discrete(labels)
+    return {key: list(labels), "mu": mu, "nu": nu}
+
+
+# label set -> (its constructor on the labels, its JSON document, the field
+# the CLI names, the role in the messages)
+_LABEL_SETS = {
+    "atoms": (BooleanAlgebra, lambda ls: {"atoms": ls}, "$.atoms", "atom"),
+    "relation-set": (lambda ls: IFRelation(ls, ls, *_discrete(ls)),
+                     lambda ls: _relation_doc("set", ls), "$.set", "source"),
+    "fuzzy-lattice-carrier": (
+        lambda ls: IFLattice(IFRelation(ls, ls, *_discrete(ls))),
+        lambda ls: {"lattice": _relation_doc("carrier", ls), "fragment": ls[:1]},
+        "$.lattice.carrier", "source"),
+    "fuzzy-set-points": (lambda ls: FuzzySet(ls, ["1/2"] * len(ls)),
+                         lambda ls: {x: "1/2" for x in ls}, "$", "point"),
+}
+_FAULTS = {
+    "empty": ([], "{role} set must not be empty"),
+    "repeated": (["x", "x"], "{role} labels must be distinct"),
+    "blank": (["x", ""], "{role} labels must be non-empty strings"),
+}
+
+
+class TestLabelRule:
+    """One rule, one wording, for every finite set of names: through the API
+    a ValueError, through the CLI exit 2 naming the field."""
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    @pytest.mark.parametrize("kind", _LABEL_SETS)
+    def test_refused_alike(self, tmp_path, capsys, kind, fault):
+        build, document, path, role = _LABEL_SETS[kind]
+        labels, message = _FAULTS[fault]
+        message = message.format(role=role)
+        if (kind, fault) == ("atoms", "empty"):  # the atom count is checked first
+            message = "atom count must be between 1 and 16, got 0"
+        with pytest.raises(ValueError) as info:
+            build(labels)
+        assert str(info.value) == message
+        if (kind, fault) == ("fuzzy-set-points", "repeated"):
+            return  # API only: a JSON object keeps the last of a repeated key
+        file = tmp_path / "in.json"
+        file.write_text(json.dumps(document(labels)))
+        assert cli.main(["validate", str(file)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
