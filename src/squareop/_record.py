@@ -8,11 +8,11 @@ takes every field, positionally or by keyword, and then runs
 ``__post_init__`` if the class has one; a class with defaults or checks
 writes its own ``__init__``.  ``_trusted(*values)`` builds an instance from
 its field values in field order with no check at all, for values the
-library has already validated; it is only for classes whose field values
-have no canonical form, so ``IFRelation``, whose ``den`` must stay reduced,
-is built from ints by its own ``_build`` instead.  Fields are set with ``object.__setattr__``
-or straight into the instance dict, and ``copy``, pickling and
-``functools.cached_property`` work as on any plain class.
+library has already validated and put in canonical form: ``IFRelation``,
+whose ``den`` must stay reduced, calls it from its own ``_from_cells`` and
+``_build``.  Fields are set with ``object.__setattr__`` or straight into the
+instance dict, and ``copy``, pickling and ``functools.cached_property`` work
+as on any plain class.
 
 The hash is computed on first use and kept in the instance dict, because
 values are hashed again and again as dict keys (a relation inside a

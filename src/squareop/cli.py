@@ -78,6 +78,16 @@ def _marks() -> tuple[str, str]:
     return "✓", "✗"
 
 
+def _object(pairs: list, path: str) -> dict:
+    """A JSON object, refusing a repeated key, which ``json`` drops silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = json.dumps(next(k for k, _ in pairs if k in seen or seen.add(k)), ensure_ascii=False)
+        raise CliError(f"{path}: repeated key {key} in a JSON object", BAD_INPUT)
+    return obj
+
+
 def _load(path: str):
     try:
         with open(path, "rb") as fh:
@@ -88,7 +98,8 @@ def _load(path: str):
                                PROPERTY_FAILED)
         # universal newlines, as a text-mode read gives them, keep the line
         # and column of a JSON error
-        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, path))
     except FileNotFoundError:
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
     except OSError as exc:

@@ -19,8 +19,8 @@ lattice certifies as a fuzzy Boolean algebra.
 The derived order is stored as one bitmask per row (the up-set of each
 element).  Its lattice structure depends on those rows alone, never on the
 degrees, so it is computed once per distinct derived order and shared by
-every fuzzy lattice that derives it; each lattice still checks its own fuzzy
-order.
+every fuzzy lattice that derives it.  ``IFLattice(...)`` checks its fuzzy
+order; the sampler hands its proved orders their structure (``sampling``).
 """
 
 from __future__ import annotations

@@ -31,12 +31,14 @@ walk only the support of each row, the columns where nu < 1.
 Validation happens once, at the input boundary: the public constructor
 checks labels, every degree through ``degrees.degree``, and shapes;
 ``jsonio``, which reports JSON paths, does the same.  Both build through
-``_from_cells`` from each distinct cell's reduced int pair ``(p, q)``,
-which refuses a common denominator past ``MAX_DENOMINATOR_BITS``.
-Relations computed from other relations (composites, closures, samples,
-relabelings) skip that pass; ``_build`` takes their ints.  Every route ends
-in ``_store``, the one check of the int invariant 0 <= m, 0 <= n,
-m + n <= den, which raises ``DegreeSumError``.
+``_from_cells`` from each distinct cell's reduced int pair ``(p, q)``; it
+refuses a common denominator past ``MAX_DENOMINATOR_BITS`` and is the one
+check of the int invariant 0 <= m, 0 <= n, m + n <= den (``DegreeSumError``).
+``_build`` takes ints the library computed unchecked, as each caller proves
+the invariant: ``from_bool`` cells are (1, 0) or (0, 1); ``compose`` and
+``transitive_closure`` keep it by the validity lemma in their docstrings;
+the sampler draws cells with a/p + b/q <= 1 (``sampling._random_cell``) and
+relabels an order by permuting its valid cells.
 """
 
 from __future__ import annotations
@@ -145,24 +147,6 @@ class IFRelation:
         pair_of = {pair: pair for pair in set(chain(*mu, *nu))}
         vars(self).update(vars(self._from_cells(source, target, mu, nu, pair_of)))
 
-    def _store(
-        self, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
-    ) -> "IFRelation":
-        """Set the int form over its canonical ``den``, and return ``self``:
-        the one check of the cell invariant.
-
-        Raises ``DegreeSumError`` at the first cell with a negative degree
-        or with mu + nu > 1.
-        """
-        cell = _bad_cell(den, m, n)
-        if cell is not None:
-            i, j = cell
-            a, b = Fraction(m[i][j], den), Fraction(n[i][j], den)
-            what = "mu + nu > 1" if a >= 0 and b >= 0 else "negative degree"
-            raise DegreeSumError(f"{what} at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
-        self.__dict__.update(source=source, target=target, den=den, m=m, n=n)
-        return self
-
     @classmethod
     def _from_cells(
         cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence],
@@ -171,25 +155,32 @@ class IFRelation:
         """Internal constructor from checked labels and cell matrices, and the
         validated degree of each distinct cell as a reduced ``(p, q)`` (no
         other key).  ``den`` is the lcm of their ``q``, so it is canonical;
-        raises ``ValueError`` if it is refused."""
+        raises ``ValueError`` if it is refused, and ``DegreeSumError`` at the
+        first cell with a negative degree or with mu + nu > 1."""
         den = _common_denominator(pair_of)
         ints = {key: p * (den // q) for key, (p, q) in pair_of.items()}
         m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
         n = tuple(tuple(map(ints.__getitem__, row)) for row in nu_cells)
-        return object.__new__(cls)._store(source, target, den, m, n)
+        cell = _bad_cell(den, m, n)
+        if cell is not None:
+            i, j = cell
+            a, b = Fraction(m[i][j], den), Fraction(n[i][j], den)
+            what = "mu + nu > 1" if a >= 0 and b >= 0 else "negative degree"
+            raise DegreeSumError(f"{what} at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
+        return cls._trusted(source, target, den, m, n)
 
     @classmethod
     def _build(
         cls, source: tuple[str, ...], target: tuple[str, ...], den: int, m: IntMatrix, n: IntMatrix
     ) -> "IFRelation":
-        """Internal constructor from ints: labels and shapes are trusted;
-        ``den`` is made canonical, then ``_store`` checks the invariant."""
+        """Internal constructor from ints the library computed: labels, shapes
+        and the cell invariant are trusted; ``den`` is made canonical."""
         g = gcd(den, *chain.from_iterable(m), *chain.from_iterable(n))
         if g > 1:
             den //= g
             m = tuple(tuple(x // g for x in row) for row in m)
             n = tuple(tuple(x // g for x in row) for row in n)
-        return object.__new__(cls)._store(source, target, den, m, n)
+        return cls._trusted(source, target, den, m, n)
 
     @cached_property
     def mu(self) -> Matrix:
@@ -297,8 +288,9 @@ def _common(r: IFRelation, s: IFRelation) -> tuple[int, IntMatrix, IntMatrix, In
 def compose(r: IFRelation, s: IFRelation) -> IFRelation:
     """Relational composite over X x Z: max-min on mu, min-max on nu.
 
-    The result stays a valid relation: for the membership-maximizing middle
-    point y, nu_out <= max(nu_r(x,y), nu_s(y,z)) <= 1 - mu_out.
+    Validity lemma, which lets ``_build`` skip the cell check: for the middle
+    point y giving mu_out, nu_out <= max(nu_r(x,y), nu_s(y,z))
+    <= 1 - min(mu_r(x,y), mu_s(y,z)) = 1 - mu_out.
     """
     if r.target != s.source:
         raise ValueError("relations are not composable: r.target differs from s.source")
@@ -371,6 +363,10 @@ def transitive_closure(r: IFRelation) -> IFRelation:
     rows i with nu(i,k) < 1, and in them only the columns of row k's
     support.  That support is read at step k, since earlier steps may have
     grown it.
+
+    Validity lemma: step k takes each cell's union with the composite
+    through k, which is valid (``compose``), and a union stays valid: its
+    nu is at most that of the side that gives its mu.
     """
     r._require_square("transitive_closure")
     den = r.den

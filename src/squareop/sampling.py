@@ -88,7 +88,9 @@ def _draw_order(rng: random.Random, crisp: IFLattice) -> dict:
     diagonal (1, 0). The transitive-closure repair in ``_build_order`` can
     only add edges i <= j through some k with i <= k <= j, and the subset
     order is already transitive, so the support never grows past it: every
-    fuzzification derives exactly ``crisp``'s structure and kind table.
+    fuzzification derives exactly ``crisp``'s structure and kind table.  So
+    ``_build_order`` hands that structure over unproved; the order is a
+    partial order, since each strict subset pair's reverse keeps (0, 1).
     """
     size = len(crisp.carrier)
     return {
@@ -108,7 +110,14 @@ def _build_order(crisp: IFLattice, cells: dict) -> IFLattice:
     for (i, j), (a, p, b, q) in cells.items():
         m[i][j], n[i][j] = a * (den // p), b * (den // q)
     relation = IFRelation._build(labels, labels, den, tuple(map(tuple, m)), tuple(map(tuple, n)))
-    return IFLattice(transitive_closure(relation))
+    return _sampled(transitive_closure(relation), crisp._structure)
+
+
+def _sampled(order: IFRelation, structure) -> IFLattice:
+    """``IFLattice(order)`` with its known structure, checking nothing."""
+    lattice = IFLattice._trusted(order)
+    lattice.__dict__["_structure"] = structure  # the cached_property's slot
+    return lattice
 
 
 def random_fuzzy_powerset_order(rng: random.Random, algebra: BooleanAlgebra | int) -> IFLattice:
@@ -147,7 +156,9 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
     """Relabel a powerset-carrier lattice along an atom permutation.
 
     Returns the permuted lattice and the induced carrier index map.  Carrier
-    indices are bitmasks, so the permutation acts bit-by-bit.
+    indices are bitmasks, so the permutation acts bit-by-bit.  Every sampled
+    lattice derives the subset order on them (``_draw_order``), which an atom
+    permutation maps onto itself: the source's structure is handed over.
     """
     n = len(lattice.carrier)
     atom_count = n.bit_length() - 1
@@ -169,7 +180,7 @@ def _permute_lattice(lattice: IFLattice, perm: Sequence[int]) -> tuple[IFLattice
         tuple(tuple(order.m[i][j] for j in back) for i in back),
         tuple(tuple(order.n[i][j] for j in back) for i in back),
     )
-    return IFLattice(relation), index_map
+    return _sampled(relation, lattice._structure), index_map
 
 
 def _random_step(rng: random.Random, source: FuzzyAristotelianDiagram) -> DiagramMap:

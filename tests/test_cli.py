@@ -757,6 +757,24 @@ class TestErrorsBecomeExitCodes:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["validate"], '{"x": "1/2", "x": "1"}', "x"),
+            (["ifrel-check"], '{"set": ["x"], "mu": [["0"]], "mu": [["1"]], "nu": [["0"]]}', "mu"),
+            (["validate"], '{"algebra": {"atoms": ["a"], "atoms": ["a", "b"]}, "fragment": [["a"]]}',
+             "atoms"),
+        ],
+        ids=["fuzzy-set-point", "relation-mu", "nested-atoms"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, capsys, argv, text, key):
+        """``json`` keeps the last of a repeated key; the CLI refuses the file."""
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert run(capsys, *argv, str(path)) == (
+            2, "", f'error: {path}: repeated key "{key}" in a JSON object\n'
+        )
+
     def test_relation_at_the_set_limit_is_read(self, tmp_path, capsys):
         path = tmp_path / "discrete.json"
         path.write_text(json.dumps(_discrete_relation([f"e{i}" for i in range(MAX_RELATION)])))

@@ -10,7 +10,8 @@ inputs at each of those limits, out-of-range ``--map`` indices and over-cap
 degrees actually occur.  ``cli.main`` runs
 in-process; each run must end with exit code 0, 1 or 2 (argparse's
 ``SystemExit(2)`` included), let no other exception escape, and finish
-within the per-example deadline.
+within the per-example deadline.  The same documents, written as raw JSON
+text with one key of one object repeated, must exit 2.
 """
 
 import contextlib
@@ -239,7 +240,7 @@ def invocations(draw, payload=None):
     return command, payloads, draw(options)
 
 
-def check_exit_code(command: str, payloads, options) -> None:
+def check_exit_code(command: str, payloads, options) -> int:
     """Write ``payloads`` to files, run the command on them and require a
     documented exit code and no escaping exception."""
     out, err = io.StringIO(), io.StringIO()
@@ -257,6 +258,7 @@ def check_exit_code(command: str, payloads, options) -> None:
                 code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 @FUZZ
@@ -299,3 +301,52 @@ POINTS_BYTES = json.dumps(AT_POINT_LIMIT).encode()
 @example(("category-check", [], [f"--triples={MAX_TRIPLES}"]))  # the triples limit
 def test_schema_shaped(invocation):
     check_exit_code(*invocation)
+
+
+def _repeat_a_key(doc, pick: int) -> bytes:
+    """``doc`` as raw JSON text in which one key, the ``pick``-th (modulo the
+    count) of all its objects' keys in document order, is written twice."""
+    keys = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                keys.append((id(value), key))
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    def dump(value):
+        if isinstance(value, dict):
+            pairs = []
+            for key, item in value.items():
+                pairs.append(f"{json.dumps(key)}: {dump(item)}")
+                if (id(value), key) == repeated:
+                    pairs.append(pairs[-1])
+            return "{" + ", ".join(pairs) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(dump, value)) + "]"
+        return json.dumps(value)
+
+    walk(doc)
+    repeated = keys[pick % len(keys)]
+    return dump(doc).encode()
+
+
+@st.composite
+def repeated_key_invocations(draw):
+    """A subcommand that reads files, each file a schema-shaped document
+    (never ``{}``) with a repeated key, and its options."""
+    command = draw(st.sampled_from(sorted(c for c, (files, _) in COMMANDS.items() if files)))
+    files, options = COMMANDS[command]
+    payloads = [_repeat_a_key(draw(doc.filter(bool)), draw(st.integers(0, 2**16)))
+                for doc in files]
+    return command, payloads, draw(options)
+
+
+@FUZZ
+@given(repeated_key_invocations())
+@example(("validate", [b'{"x": "1/2", "x": "1"}'], []))
+def test_repeated_keys_are_refused(invocation):
+    assert check_exit_code(*invocation) == 2

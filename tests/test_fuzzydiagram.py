@@ -1,8 +1,10 @@
+import contextlib
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareop import sampling
 from squareop.algebra import BooleanAlgebra, element_label
@@ -33,7 +35,7 @@ from squareop.fuzzydiagram import (
     fuzzy_relation_table,
     verify_category_laws,
 )
-from squareop.ifrel import IFRelation, transitive_closure
+from squareop.ifrel import IFRelation, _bad_cell, transitive_closure
 from squareop.iflattice import IFLattice, LawViolationError, _OrderStructure, powerset_lattice
 from squareop.sampling import (
     _below,
@@ -827,3 +829,58 @@ class TestSampler:
         rng = random.Random(3)
         assert len(random_fuzzy_diagram(rng, max_atoms=4, max_fragment=1).fragment) == 1
         assert len(random_crisp_diagram(rng, max_atoms=16, max_fragment=1).fragment) == 1
+
+
+@contextlib.contextmanager
+def trusted_builds():
+    """The relations ``IFRelation._build`` and the lattices
+    ``sampling._sampled`` return inside the block: the routes that skip the
+    checks of the public constructors."""
+    relations, lattices = [], []
+    build, sampled = IFRelation._build, sampling._sampled
+
+    def recorded_build(*args):
+        relations.append(build(*args))
+        return relations[-1]
+
+    def recorded_sampled(*args):
+        lattices.append(sampled(*args))
+        return lattices[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IFRelation, "_build", staticmethod(recorded_build))
+        patch.setattr(sampling, "_sampled", recorded_sampled)
+        yield relations, lattices
+
+
+def assert_checked_constructors_agree(relations, lattices):
+    """Each trusted relation keeps the cell invariant and is what the checked
+    constructor builds from its degrees; each trusted lattice is accepted by
+    ``IFLattice(...)`` and carries the structure derived from its own order."""
+    for r in relations:
+        assert _bad_cell(r.den, r.m, r.n) is None
+        assert IFRelation(r.source, r.target, r.mu, r.nu) == r
+    for lattice in lattices:
+        checked = IFLattice(lattice.order)
+        assert checked == lattice
+        assert lattice._structure == checked._structure
+
+
+class TestTrustedRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_sampled_triples(self, seed, count):
+        with trusted_builds() as (relations, lattices):
+            composable_infomorphism_triples(random.Random(seed), count)
+        assert lattices and relations
+        assert_checked_constructors_agree(relations, lattices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_sampled_orders_and_their_relabelings(self, seed, atoms):
+        rng = random.Random(seed)
+        with trusted_builds() as (relations, lattices):
+            lattice = random_fuzzy_powerset_order(rng, atoms)
+            _permute_lattice(lattice, rng.sample(range(atoms), atoms))
+        assert len(lattices) == 2
+        assert_checked_constructors_agree(relations, lattices)

@@ -10,6 +10,7 @@ from squareop.degrees import MAX_DEGREE_DENOMINATOR, IFPair
 from squareop.ifrel import (
     DegreeSumError,
     IFRelation,
+    _bad_cell,
     compose,
     identity_relation,
     is_partial_order,
@@ -531,6 +532,33 @@ class TestIntKernelDifferential:
             )
 
 
+class TestTrustedBuild:
+    """The relations ``_build`` takes unchecked keep the cell invariant: each
+    equals what the checked constructor builds from its degrees."""
+
+    @staticmethod
+    def assert_checked(r):
+        assert _bad_cell(r.den, r.m, r.n) is None
+        assert IFRelation(r.source, r.target, r.mu, r.nu) == r
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(composable_pairs(), arbitrary_square_pairs()))
+    def test_composites(self, rs):
+        self.assert_checked(compose(*rs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(square_relations(), arbitrary_square_relations()))
+    def test_closures(self, r):
+        self.assert_checked(transitive_closure(r))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_crisp_embeddings(self, holds):
+        labels = labels_of("e", len(holds))
+        self.assert_checked(IFRelation.from_bool(labels, labels, holds))
+
+
 class TestIntRepresentation:
     def test_equal_values_over_different_denominators_are_equal(self):
         labels = ("x", "y")
@@ -561,14 +589,19 @@ class TestIntRepresentation:
         assert r.mu is r.mu and r.mu == ((F(1), F(1, 2)), (F(0), F(1)))
         assert r.nu == ((F(0), F(1, 4)), (F(1), F(0)))
 
-    def test_computed_relation_breaking_the_invariant_raises_degree_sum_error(self):
+    def test_cells_breaking_the_invariant_raise_degree_sum_error(self):
+        """``_from_cells`` is the one check of the int invariant; ``_build``
+        takes ints the library proved valid and checks nothing."""
         labels = ("x", "y")
+        pairs = {(1, 1): (1, 1), (0, 1): (0, 1), (1, 2): (1, 2), (3, 4): (3, 4), (-1, 2): (-1, 2)}
         with pytest.raises(DegreeSumError) as exc:
-            IFRelation._build(labels, labels, 4, ((4, 2), (0, 4)), ((0, 3), (4, 0)))
+            IFRelation._from_cells(labels, labels, (((1, 1), (1, 2)), ((0, 1), (1, 1))),
+                                   (((0, 1), (3, 4)), ((1, 1), (0, 1))), pairs)
         assert exc.value.cell == (0, 1)
         assert str(exc.value) == "mu + nu > 1 at cell (0, 1): 1/2 + 3/4 = 5/4"
         with pytest.raises(DegreeSumError) as exc:
-            IFRelation._build(labels, labels, 2, ((2, 0), (-1, 2)), ((0, 2), (2, 0)))
+            IFRelation._from_cells(labels, labels, (((1, 1), (0, 1)), ((-1, 2), (1, 1))),
+                                   (((0, 1), (1, 1)), ((1, 1), (0, 1))), pairs)
         assert exc.value.cell == (1, 0)
         assert str(exc.value) == "negative degree at cell (1, 0): -1/2 + 1 = 1/2"
 

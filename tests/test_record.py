@@ -158,7 +158,8 @@ class TestRecordSurface:
     def test_trusted_construction_agrees(self, cls, kwargs, fields, text):
         # the field values are the constructor's arguments, except for
         # IFRelation, whose fields are its int form: its den must stay
-        # canonical, so it is built from them by _build, never by _trusted
+        # canonical, so it is built from them by _build, which reduces den
+        # before it calls _trusted
         x = _build(cls, kwargs)
         values = tuple(getattr(x, f) for f in fields)
         if cls is IFRelation:
