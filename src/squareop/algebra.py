@@ -50,8 +50,7 @@ class BooleanAlgebra:
     atoms: tuple[str, ...]
 
     def __init__(self, atoms: tuple[str, ...]) -> None:
-        if not isinstance(atoms, tuple):
-            atoms = tuple(atoms)
+        atoms = tuple(atoms)
         n = len(atoms)
         if not 1 <= n <= MAX_ATOMS:
             raise ValueError(f"atom count must be between 1 and {MAX_ATOMS}, got {n}")

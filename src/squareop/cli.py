@@ -88,6 +88,14 @@ def _object(pairs: list, path: str) -> dict:
     return obj
 
 
+def _int(digits: str, path: str) -> int:
+    """A JSON integer.  No schema reads one; one of more than 4 300 digits is
+    refused before ``int``, which is quadratic where Python sets no limit."""
+    if len(digits) - digits.startswith("-") > 4300:
+        raise CliError(f"{path}: integer literal of more than 4300 digits refused", BAD_INPUT)
+    return int(digits)
+
+
 def _load(path: str):
     try:
         with open(path, "rb") as fh:
@@ -99,7 +107,8 @@ def _load(path: str):
         # universal newlines, as a text-mode read gives them, keep the line
         # and column of a JSON error
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, path))
+        return json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, path),
+                          parse_int=lambda digits: _int(digits, path))
     except FileNotFoundError:
         raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
     except OSError as exc:

@@ -197,15 +197,13 @@ class Diagram:
     def __init__(
         self, algebra: BooleanAlgebra, fragment: tuple[Element, ...], labels: tuple[str, ...] = ()
     ) -> None:
-        if not isinstance(fragment, tuple):
-            fragment = tuple(fragment)
+        fragment = tuple(fragment)
         for e in fragment:
             if e.algebra != algebra:
                 raise AlgebraMismatchError("fragment element does not belong to the diagram algebra")
         _check_fragment(fragment, [e.bits for e in fragment])
         if labels:
-            if not isinstance(labels, tuple):
-                labels = tuple(labels)
+            labels = tuple(labels)
             _check_aligned(labels, fragment)
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "algebra", algebra)

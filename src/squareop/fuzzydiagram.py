@@ -296,13 +296,13 @@ class AnnotatedSquare:
         kinds = relation_table(self.diagram)
         for i in range(n):
             for j in range(n):
-                if kinds[i][j] == RelationKind.CD:
-                    pair = self.annotations[i][j]
-                    if pair.mu != Fraction(1, 2) or pair.nu > Fraction(1, 2):
-                        raise ValueError(
-                            "contradiction edges must carry mu = 1/2 and nu <= 1/2, "
-                            f"got {pair!r} at ({i}, {j})"
-                        )
+                pair = self.annotations[i][j]
+                # mu = 1/2 and IFPair's mu + nu <= 1 give nu <= 1/2
+                if kinds[i][j] == RelationKind.CD and pair.mu != Fraction(1, 2):
+                    raise ValueError(
+                        "contradiction edges must carry mu = 1/2 and nu <= 1/2, "
+                        f"got {pair!r} at ({i}, {j})"
+                    )
 
 
 def annotate_square(contradiction_nu: Fraction | str | int) -> AnnotatedSquare:
@@ -312,14 +312,9 @@ def annotate_square(contradiction_nu: Fraction | str | int) -> AnnotatedSquare:
     not derivable from a formula, so the caller picks any nonmembership
     degree up to 1/2.  All other cells are fully crisp, (1, 0).
     """
-    nu = degree(contradiction_nu)
-    if nu > Fraction(1, 2):
-        raise ValueError(
-            f"the degree to which an edge is not a contradiction must be <= 1/2, got {nu}"
-        )
+    cd_pair = IFPair(Fraction(1, 2), contradiction_nu)  # refuses nu > 1/2
     square = canonical_square()
     kinds = relation_table(square)
-    cd_pair = IFPair(Fraction(1, 2), nu)
     annotations = tuple(
         tuple(cd_pair if kind == RelationKind.CD else FULL for kind in row) for row in kinds
     )

@@ -20,7 +20,7 @@ The derived order is stored as one bitmask per row (the up-set of each
 element).  Its lattice structure depends on those rows alone, never on the
 degrees, so it is computed once per distinct derived order and shared by
 every fuzzy lattice that derives it.  ``IFLattice(...)`` checks its fuzzy
-order; the sampler hands its proved orders their structure (``sampling``).
+order; ``certify`` and the sampler (``sampling``) skip that for orders they proved.
 """
 
 from __future__ import annotations
@@ -311,8 +311,9 @@ def certify(order: IFRelation) -> LatticeCertification:
     reflexive = is_reflexive(order)
     antisymmetric = is_perfectly_antisymmetric(order)
     transitive = is_transitive(order)
-    partial = reflexive and antisymmetric and transitive
-    lattice = IFLattice(order) if partial else None
+    partial = is_partial_order(order)
+    # the carrier size was refused above and the order has just been proved
+    lattice = IFLattice._trusted(order) if partial else None
     is_lattice = lattice.is_lattice if partial else None
     boolean = bool(is_lattice) and lattice.is_if_boolean_algebra
     return LatticeCertification(

@@ -126,20 +126,18 @@ class IFRelation:
     def __init__(
         self, source: Sequence[str], target: Sequence[str], mu: Matrix, nu: Matrix
     ) -> None:
-        # the raw arguments; __post_init__ validates them and replaces them
-        # by the int form
-        self.__dict__.update(source=source, target=target, mu=mu, nu=nu)
-        self.__post_init__()
+        self.__post_init__(source, target, mu, nu)
 
-    def __post_init__(self) -> None:
-        source, target = tuple(self.source), tuple(self.target)
+    def __post_init__(
+        self, source: Sequence[str], target: Sequence[str], mu: Matrix, nu: Matrix
+    ) -> None:
+        source, target = tuple(source), tuple(target)
         _check_labels(source, "source")
         _check_labels(target, "target")
         # keyed by each cell's checked, reduced (p, q): never by the raw cell
         # (True == 1), nor by the Fraction, which hashes at Python speed
-        raw = self.__dict__
-        mu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in raw.pop("mu"))
-        nu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in raw.pop("nu"))
+        mu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in mu)
+        nu = tuple(tuple(degree(v).as_integer_ratio() for v in row) for row in nu)
         rows, cols = len(source), len(target)
         for name, matrix in (("mu", mu), ("nu", nu)):
             if len(matrix) != rows or any(len(r) != cols for r in matrix):
@@ -347,7 +345,7 @@ def is_transitive(r: IFRelation) -> bool:
 
 def is_partial_order(r: IFRelation) -> bool:
     r._require_square("is_partial_order")
-    return is_reflexive(r) and is_perfectly_antisymmetric(r) and is_transitive(r)
+    return r._reflexive and r._perfectly_antisymmetric and r._transitive
 
 
 def transitive_closure(r: IFRelation) -> IFRelation:

@@ -775,6 +775,25 @@ class TestErrorsBecomeExitCodes:
             2, "", f'error: {path}: repeated key "{key}" in a JSON object\n'
         )
 
+    @pytest.mark.parametrize("argv, text", [
+        (["validate"], '{"atoms": ["a"], "n": 9%s}'),
+        (["contradiction"], '{"x": "1/2", "y": -9%s}'),
+    ], ids=["validate", "fuzzy-set"])
+    def test_long_integer_literal_is_exit_2(self, tmp_path, capsys, argv, text):
+        """No schema reads a JSON number.  One of more than 4 300 digits is
+        refused before ``int`` converts it: Python 3.11+ limits the digits
+        of that conversion, and on 3.10 it takes quadratic time."""
+        path = tmp_path / "long.json"
+        path.write_text(text % ("9" * 4300))
+        assert run(capsys, *argv, str(path)) == (
+            2, "", f"error: {path}: integer literal of more than 4300 digits refused\n"
+        )
+
+    def test_integer_literal_at_the_digit_limit_is_read(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"atoms": ["a"], "ignored": -%s}' % ("9" * 4300))
+        assert run(capsys, "validate", str(path)) == (0, "OK: algebra (1 atoms)\n", "")
+
     def test_relation_at_the_set_limit_is_read(self, tmp_path, capsys):
         path = tmp_path / "discrete.json"
         path.write_text(json.dumps(_discrete_relation([f"e{i}" for i in range(MAX_RELATION)])))

@@ -630,7 +630,7 @@ class TestAnnotatedSquare:
         assert cells[0].hesitation == F(1, 2)
 
     def test_nu_above_half_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds 1"):
             annotate_square(F(3, 5))
 
     def test_invariant_enforced_on_direct_construction(self):
