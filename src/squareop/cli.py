@@ -22,6 +22,7 @@ from itertools import islice
 from . import __version__
 from .degrees import IMPLICATIONS, NEGATIONS, OperatorChoice, contradiction_degree, degree
 from .diagram import (
+    Diagram,
     DiagramMap,
     canonical_square,
     check_infomorphism,
@@ -33,6 +34,7 @@ from .jsonio import (
     InputFormatError,
     _checked,
     algebra_from_json,
+    any_diagram_from_json,
     certification_to_json,
     diagram_from_json,
     diagram_to_json,
@@ -186,41 +188,34 @@ def _parse_map(text: str, source, target) -> DiagramMap:
 # subcommands: each returns (exit code, output) and writes nothing; the
 # output is a JSON object, a list of text lines, or one DOT string
 
+#: each schema ``validate`` names: its reader, and a summary of the value read
+_SCHEMAS = {
+    "algebra": (algebra_from_json, lambda v: f"{v.atom_count} atoms"),
+    "diagram": (diagram_from_json, lambda v: (
+        f"{len(v.fragment)} fragment elements over {v.algebra.atom_count} atoms")),
+    "relation": (relation_from_json, lambda v: f"square relation on {len(v.source)} points"),
+    "fuzzy-set": (fuzzy_set_from_json, lambda v: f"{len(v.domain)} points"),
+    "fuzzy-diagram": (fuzzy_diagram_from_json, lambda v: (
+        f"{len(v.fragment)} fragment elements over a {len(v.lattice.carrier)}-element carrier")),
+}
+
+
 def cmd_validate(args):
     obj = _load(args.file)
-    kind = args.kind
+    kind, value = args.kind, None
     if kind == "auto":
-        if isinstance(obj, dict) and "lattice" in obj:
-            kind = "fuzzy-diagram"
-        elif isinstance(obj, dict) and "fragment" in obj:
-            kind = "diagram"
-        elif isinstance(obj, dict) and ("set" in obj or "carrier" in obj):
-            kind = "relation"
-        elif isinstance(obj, dict) and "atoms" in obj:
-            kind = "algebra"
-        elif isinstance(obj, dict):
-            kind = "fuzzy-set"
-        else:
+        if not isinstance(obj, dict):
             raise CliError("cannot detect a documented schema in the input", BAD_INPUT)
-    if kind == "algebra":
-        value = algebra_from_json(obj)
-        summary = f"{value.atom_count} atoms"
-    elif kind == "diagram":
-        value = diagram_from_json(obj)
-        summary = f"{len(value.fragment)} fragment elements over {value.algebra.atom_count} atoms"
-    elif kind == "relation":
-        value = relation_from_json(obj)
-        summary = f"square relation on {len(value.source)} points"
-    elif kind == "fuzzy-set":
-        value = fuzzy_set_from_json(obj)
-        summary = f"{len(value.domain)} points"
-    else:
-        value = fuzzy_diagram_from_json(obj)
-        summary = (
-            f"{len(value.fragment)} fragment elements over a "
-            f"{len(value.lattice.carrier)}-element carrier"
-        )
-    return OK_EXIT, [f"OK: {kind} ({summary})"]
+        if obj.keys() & {"fragment", "lattice"}:
+            value = any_diagram_from_json(obj)
+            kind = "diagram" if isinstance(value, Diagram) else "fuzzy-diagram"
+        elif "set" in obj or "carrier" in obj:
+            kind = "relation"
+        else:
+            kind = "algebra" if "atoms" in obj else "fuzzy-set"
+    if value is None:  # an explicit kind, or one detected without reading
+        value = _SCHEMAS[kind][0](obj)
+    return OK_EXIT, [f"OK: {kind} ({_SCHEMAS[kind][1](value)})"]
 
 
 def _classify_output(d, fmt: str):
@@ -234,7 +229,7 @@ def _classify_output(d, fmt: str):
 
 
 def cmd_classify(args):
-    return OK_EXIT, _classify_output(diagram_from_json(_load(args.file)), args.format)
+    return OK_EXIT, _classify_output(any_diagram_from_json(_load(args.file)), args.format)
 
 
 def cmd_canonical_square(args):
@@ -246,8 +241,8 @@ def cmd_canonical_square(args):
 
 
 def cmd_iso(args):
-    d1 = diagram_from_json(_load(args.file1))
-    d2 = diagram_from_json(_load(args.file2))
+    d1 = any_diagram_from_json(_load(args.file1))
+    d2 = any_diagram_from_json(_load(args.file2))
     if args.map is not None:
         m = _parse_map(args.map, d1, d2)
         if not m.is_bijection:
@@ -272,8 +267,8 @@ def cmd_iso(args):
 
 
 def cmd_info(args):
-    d1 = diagram_from_json(_load(args.file1))
-    d2 = diagram_from_json(_load(args.file2))
+    d1 = any_diagram_from_json(_load(args.file1))
+    d2 = any_diagram_from_json(_load(args.file2))
     return _verdict("infomorphism", check_infomorphism(_parse_map(args.map, d1, d2)), args.format)
 
 
@@ -383,15 +378,6 @@ def cmd_category_check(args):
     return code, lines
 
 
-def cmd_dot(args):
-    from .dot import diagram_to_dot, fuzzy_diagram_to_dot
-
-    obj = _load(args.file)
-    if isinstance(obj, dict) and "lattice" in obj:
-        return OK_EXIT, fuzzy_diagram_to_dot(fuzzy_diagram_from_json(obj))
-    return OK_EXIT, diagram_to_dot(diagram_from_json(obj))
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,11 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a JSON input against its schema")
     p.add_argument("file")
-    p.add_argument(
-        "--kind",
-        choices=("auto", "algebra", "diagram", "relation", "fuzzy-set", "fuzzy-diagram"),
-        default="auto",
-    )
+    p.add_argument("--kind", choices=("auto", *_SCHEMAS), default="auto")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("classify", help="relation table of a diagram")
@@ -469,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="render a (fuzzy) diagram as a DOT graph")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_dot)
+    p.set_defaults(fn=cmd_classify, format="dot")
 
     return parser
 

@@ -4,11 +4,13 @@ Edge legend (documented, not figure-exact): contradictories dashed,
 contraries solid, subcontraries dotted, implications solid with an arrow
 from the stronger to the weaker form.  Unconnected pairs draw no edge.
 Output is deterministic: nodes in fragment order, edges by index pair.
+``diagram_to_dot`` renders crisp and fuzzy diagrams alike; a fuzzy edge's
+label ends in its (mu,nu) annotation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .diagram import Diagram, RelationKind
 
@@ -28,8 +30,13 @@ def _quote(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render(d: Diagram | FuzzyAristotelianDiagram, suffix: Callable[[int, int], str]) -> str:
-    """DOT text of ``d``'s kind table; ``suffix(i, j)`` ends the edge label of (i, j)."""
+def diagram_to_dot(d: Diagram | FuzzyAristotelianDiagram) -> str:
+    """DOT text of ``d``'s kind table, crisp or fuzzy."""
+    annotations = None
+    if not isinstance(d, Diagram):
+        from .fuzzydiagram import fuzzy_relation_table
+
+        annotations = fuzzy_relation_table(d)
     lines = ["digraph aristotelian {", "  rankdir=TB;", "  node [shape=box];"]
     for i, label in enumerate(d.labels):
         lines.append(f"  n{i} [label={_quote(label)}];")
@@ -39,18 +46,11 @@ def _render(d: Diagram | FuzzyAristotelianDiagram, suffix: Callable[[int, int], 
             if kind not in _EDGE_STYLE:
                 continue
             tail, head, name = (j, i, "LI") if kind == RelationKind.RI else (i, j, kind.value)
-            label = _quote(name + suffix(i, j))
-            lines.append(f"  n{tail} -> n{head} [{_EDGE_STYLE[kind]}, label={label}];")
+            if annotations is not None:
+                name += " ({0.mu},{0.nu})".format(annotations[i][j].annotation)
+            lines.append(f"  n{tail} -> n{head} [{_EDGE_STYLE[kind]}, label={_quote(name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def diagram_to_dot(d: Diagram) -> str:
-    return _render(d, lambda i, j: "")
-
-
-def fuzzy_diagram_to_dot(d: FuzzyAristotelianDiagram) -> str:
-    from .fuzzydiagram import fuzzy_relation_table
-
-    table = fuzzy_relation_table(d)
-    return _render(d, lambda i, j: " ({0.mu},{0.nu})".format(table[i][j].annotation))
+fuzzy_diagram_to_dot = diagram_to_dot

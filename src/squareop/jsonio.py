@@ -24,6 +24,9 @@ Schemas:
 * fuzzy set      {"point": "degree", ...}
 * fuzzy diagram  {"lattice": <relation>, "fragment": ["{a}", ...],
                   "labels": [...], "tolerance": "1/100"}
+
+``any_diagram_from_json`` reads either diagram: an object with a "lattice"
+key is fuzzy, anything else is read as crisp.
 """
 
 from __future__ import annotations
@@ -330,3 +333,10 @@ def fuzzy_diagram_from_json(obj: Any, path: str = "$") -> FuzzyAristotelianDiagr
     # are property failures, not schema errors; let ValueError propagate
     lattice = IFLattice(order)
     return FuzzyAristotelianDiagram(lattice, fragment, labels, tolerance)
+
+
+def any_diagram_from_json(obj: Any, path: str = "$") -> Diagram | FuzzyAristotelianDiagram:
+    """A fuzzy diagram if ``obj`` is an object with a "lattice" key, else a crisp one."""
+    if isinstance(obj, dict) and "lattice" in obj:
+        return fuzzy_diagram_from_json(obj, path)
+    return diagram_from_json(obj, path)

@@ -578,6 +578,23 @@ GOLDEN_CASES = [
      ["category-check", "--seed", "3", "--triples", "100", "--format", "json"], 0),
 ]
 
+# (id, file under tests/golden/, argv, exit code): the fuzzy embedding of the
+# square, alone or beside the crisp square, prints the crisp square's output
+MIXED_CASES = [
+    ("classify-fuzzy", "classify", ["classify", "FUZZY"], 0),
+    ("classify-fuzzy-json", "classify-json", ["classify", "FUZZY", "--format", "json"], 0),
+    ("iso-crisp-fuzzy", "iso", ["iso", "SQUARE", "FUZZY"], 0),
+    ("iso-fuzzy-crisp", "iso", ["iso", "FUZZY", "SQUARE"], 0),
+    ("iso-crisp-fuzzy-json", "iso-json", ["iso", "SQUARE", "FUZZY", "--format", "json"], 0),
+    ("iso-fuzzy-crisp-json", "iso-json", ["iso", "FUZZY", "SQUARE", "--format", "json"], 0),
+    ("iso-crisp-fuzzy-map", "iso-map", ["iso", "SQUARE", "FUZZY", "--map", "0,1,2,3"], 0),
+    ("iso-fuzzy-crisp-map", "iso-map", ["iso", "FUZZY", "SQUARE", "--map", "0,1,2,3"], 0),
+    ("info-crisp-fuzzy", "info-json",
+     ["info", "SQUARE", "FUZZY", "--map", "0,1,2,3", "--format", "json"], 0),
+    # C is sent to BI
+    ("info-crisp-fuzzy-collapse", "info", ["info", "SQUARE", "FUZZY", "--map", "0,0,0,0"], 1),
+]
+
 
 class TestGoldenOutput:
     @pytest.fixture
@@ -607,6 +624,10 @@ class TestGoldenOutput:
     def test_fuzzy_square_dot(self, fuzzy_square_file, capsys):
         assert run_once(capsys, "dot", fuzzy_square_file) == (0, FUZZY_SQUARE_DOT, "")
 
+    def test_fuzzy_square_classify_dot(self, fuzzy_square_file, capsys):
+        assert run_once(capsys, "classify", fuzzy_square_file, "--format", "dot") == (
+            0, FUZZY_SQUARE_DOT, "")
+
     def test_fuzzy_square_table(self, fuzzy_square_file, capsys):
         assert run_once(capsys, "fuzzy-classify", fuzzy_square_file) == (
             0, FUZZY_SQUARE_TABLE, "")
@@ -614,6 +635,13 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_every_command_and_format(self, golden_inputs, capsys, monkeypatch, name, argv, code):
         monkeypatch.delenv("SQUAREOP_ASCII", raising=False)
+        expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        argv = [golden_inputs.get(a, a) for a in argv]
+        assert run_once(capsys, *argv) == (code, expected, "")
+
+    @pytest.mark.parametrize("name, argv, code", [c[1:] for c in MIXED_CASES],
+                             ids=[c[0] for c in MIXED_CASES])
+    def test_fuzzy_and_mixed_diagrams(self, golden_inputs, capsys, name, argv, code):
         expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         argv = [golden_inputs.get(a, a) for a in argv]
         assert run_once(capsys, *argv) == (code, expected, "")
@@ -957,7 +985,7 @@ class TestErrorsBecomeExitCodes:
         assert code == 2
         assert err == "error: $.set: source labels must be distinct\n"
 
-    @pytest.mark.parametrize("command", ["fuzzy-classify", "dot", "validate"])
+    @pytest.mark.parametrize("command", ["fuzzy-classify", "dot", "validate", "classify"])
     @pytest.mark.parametrize(
         "change, path",
         [
@@ -1066,6 +1094,8 @@ def test_crisp_commands_load_no_fuzzy_layer(square_file, tmp_path, command, dot)
     "fuzzy-classify {fuzzy}",
     "dot {fuzzy}",
     "validate {fuzzy}",
+    "classify {fuzzy}",
+    "iso {fuzzy} {fuzzy}",
     "category-check --triples 2",
 ])
 def test_fuzzy_commands_load_no_dataclasses(tmp_path, command):

@@ -205,6 +205,8 @@ def _option(name, values):
 
 formats = _option("format", st.sampled_from(["text", "json"]))
 maps = _option("map", map_texts)
+# what classify, iso, info and dot read: a crisp or a fuzzy diagram
+diagrams = st.one_of(crisp_diagrams(), fuzzy_diagrams())
 
 # subcommand -> (the document strategy of each file it reads, its options);
 # contradiction's second file is optional
@@ -217,14 +219,14 @@ COMMANDS = {
         _option("kind", st.sampled_from(
             ["auto", "algebra", "diagram", "relation", "fuzzy-set", "fuzzy-diagram"])),
     ),
-    "classify": ([crisp_diagrams()], _option("format", st.sampled_from(["text", "json", "dot"]))),
-    "iso": ([crisp_diagrams()] * 2, st.one_of(formats, maps)),
-    "info": ([crisp_diagrams()] * 2, maps),
+    "classify": ([diagrams], _option("format", st.sampled_from(["text", "json", "dot"]))),
+    "iso": ([diagrams] * 2, st.one_of(formats, maps)),
+    "info": ([diagrams] * 2, maps),
     "ifrel-check": ([relations()], formats),
     "lattice-check": ([relations()], formats),
     "contradiction": ([fuzzy_sets] * 2, _option("implication", st.sampled_from(sorted(IMPLICATIONS)))),
     "fuzzy-classify": ([fuzzy_diagrams()], st.one_of(formats, _option("tolerance", degree_cell(3)))),
-    "dot": ([st.one_of(crisp_diagrams(), fuzzy_diagrams())], st.just([])),
+    "dot": ([diagrams], st.just([])),
 }
 
 
