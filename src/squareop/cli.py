@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a requested property fails (input not a
-partial order, map not an infomorphism, ...), 2 on malformed input, with a
-diagnostic naming the offending line or field.  Output is deterministic for
-identical inputs and seeds.  Set SQUAREOP_ASCII for plain-ASCII check marks.
+Exit codes: 0 on success; 1 when a requested property fails (input not a
+partial order, map not an infomorphism, ...) or well-formed input is
+refused; 2 on malformed input (``InputFormatError``), naming its line, field,
+file or flag.  Output is deterministic for identical inputs and seeds.  Set
+SQUAREOP_ASCII for plain-ASCII check marks.
 
 Stdout is written once, after the result is complete, so an error never
 follows partial output.  A reader that closes the pipe early leaves the
@@ -68,12 +69,6 @@ MAX_FILE_BYTES = 2**24
 MAX_TRIPLES = 250
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _marks() -> tuple[str, str]:
     if os.environ.get("SQUAREOP_ASCII"):
         return "yes", "no"
@@ -86,7 +81,7 @@ def _object(pairs: list, path: str) -> dict:
     if len(obj) < len(pairs):
         seen = set()
         key = json.dumps(next(k for k, _ in pairs if k in seen or seen.add(k)), ensure_ascii=False)
-        raise CliError(f"{path}: repeated key {key} in a JSON object", BAD_INPUT)
+        raise InputFormatError(f"repeated key {key} in a JSON object", path)
     return obj
 
 
@@ -94,7 +89,7 @@ def _int(digits: str, path: str) -> int:
     """A JSON integer.  No schema reads one; one of more than 4 300 digits is
     refused before ``int``, which is quadratic where Python sets no limit."""
     if len(digits) - digits.startswith("-") > 4300:
-        raise CliError(f"{path}: integer literal of more than 4300 digits refused", BAD_INPUT)
+        raise InputFormatError("integer literal of more than 4300 digits refused", path)
     return int(digits)
 
 
@@ -104,23 +99,22 @@ def _load(path: str):
             # a file is refused from its size, unread; a pipe reports no size
             if (os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES
                     or len(data := fh.read(MAX_FILE_BYTES + 1)) > MAX_FILE_BYTES):
-                raise CliError(f"{path}: file larger than {MAX_FILE_BYTES} bytes refused",
-                               PROPERTY_FAILED)
+                raise ValueError(f"{path}: file larger than {MAX_FILE_BYTES} bytes refused")
         # universal newlines, as a text-mode read gives them, keep the line
         # and column of a JSON error
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, path),
                           parse_int=lambda digits: _int(digits, path))
     except FileNotFoundError:
-        raise CliError(f"cannot read {path}: no such file", BAD_INPUT)
+        raise InputFormatError(f"cannot read {path}: no such file", path=None)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}", BAD_INPUT)
+        raise InputFormatError(f"cannot read {path}: {exc.strerror or exc}", path=None)
     except UnicodeDecodeError:
-        raise CliError(f"{path}: not UTF-8 text", BAD_INPUT)
+        raise InputFormatError("not UTF-8 text", path)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", BAD_INPUT)
+        raise InputFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}", path)
     except RecursionError:
-        raise CliError(f"{path}: JSON nested too deeply", BAD_INPUT)
+        raise InputFormatError("JSON nested too deeply", path)
 
 
 def _positive_int(text: str) -> int:
@@ -180,7 +174,7 @@ def _parse_map(text: str, source, target) -> DiagramMap:
     try:
         mapping = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"--map must be comma-separated indices, got {text!r}", BAD_INPUT)
+        raise InputFormatError(f"--map must be comma-separated indices, got {text!r}", path=None)
     return _checked("--map", DiagramMap, source, target, mapping)
 
 
@@ -205,7 +199,7 @@ def cmd_validate(args):
     kind, value = args.kind, None
     if kind == "auto":
         if not isinstance(obj, dict):
-            raise CliError("cannot detect a documented schema in the input", BAD_INPUT)
+            raise InputFormatError("cannot detect a documented schema in the input", path=None)
         if obj.keys() & {"fragment", "lattice"}:
             value = any_diagram_from_json(obj)
             kind = "diagram" if isinstance(value, Diagram) else "fuzzy-diagram"
@@ -246,7 +240,7 @@ def cmd_iso(args):
     if args.map is not None:
         m = _parse_map(args.map, d1, d2)
         if not m.is_bijection:
-            raise CliError("--map is not a bijection", BAD_INPUT)
+            raise InputFormatError("--map is not a bijection", path=None)
         return _verdict("isomorphism", check_iso(m), args.format)
     count = count_isos(d1, d2)
     isos = list(islice(iter_isos(d1, d2), ISO_LISTING_CAP))
@@ -476,13 +470,12 @@ def main(argv=None) -> int:
         # the reader left early: keep the verdict, and send what is still
         # buffered to nowhere so that the exit-time flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (CliError, ValueError) as exc:
-        # malformed input exits 2; any other refusal of well-formed input
-        # (not an order, over a size limit, mismatched domains, a stdout
-        # that cannot encode the output) exits 1
+    except ValueError as exc:
+        # the type alone decides: malformed input (InputFormatError) exits
+        # 2; any other refusal of well-formed input (not an order, over a
+        # size limit, mismatched domains, a stdout that cannot encode the
+        # output) exits 1
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.code
         return BAD_INPUT if isinstance(exc, InputFormatError) else PROPERTY_FAILED
     return code
 

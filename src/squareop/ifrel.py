@@ -31,9 +31,9 @@ walk only the support of each row, the columns where nu < 1.
 Validation happens once, at the input boundary: the public constructor
 checks labels, every degree through ``degrees.degree``, and shapes;
 ``jsonio``, which reports JSON paths, does the same.  Both build through
-``_from_cells`` from each distinct cell's reduced int pair ``(p, q)``; it
-refuses a common denominator past ``MAX_DENOMINATOR_BITS`` and is the one
-check of the int invariant 0 <= m, 0 <= n, m + n <= den (``DegreeSumError``).
+``_from_cells`` from each distinct cell's reduced int pair ``(p, q)``, which
+the degree reader proved to lie in [0, 1]; it refuses a common denominator
+past ``MAX_DENOMINATOR_BITS`` and alone checks m + n <= den (``DegreeSumError``).
 ``_build`` takes ints the library computed unchecked, as each caller proves
 the invariant: ``from_bool`` cells are (1, 0) or (0, 1); ``compose`` and
 ``transitive_closure`` keep it by the validity lemma in their docstrings;
@@ -73,10 +73,10 @@ class DegreeSumError(ValueError):
 
 
 def _bad_cell(den: int, m: IntMatrix, n: IntMatrix) -> tuple[int, int] | None:
-    """The first cell breaking 0 <= m, 0 <= n, m + n <= den, if any."""
+    """The first cell with m + n > den, if any: the degree reader proved 0 <= m, n."""
     for i, (m_row, n_row) in enumerate(zip(m, n)):
         for j, (a, b) in enumerate(zip(m_row, n_row)):
-            if a < 0 or b < 0 or a + b > den:
+            if a + b > den:
                 return i, j
     return None
 
@@ -150,11 +150,10 @@ class IFRelation:
         cls, source: tuple[str, ...], target: tuple[str, ...], mu_cells: Sequence[Sequence],
         nu_cells: Sequence[Sequence], pair_of: Mapping[Hashable, tuple[int, int]],
     ) -> "IFRelation":
-        """Internal constructor from checked labels and cell matrices, and the
-        validated degree of each distinct cell as a reduced ``(p, q)`` (no
-        other key).  ``den`` is the lcm of their ``q``, so it is canonical;
-        raises ``ValueError`` if it is refused, and ``DegreeSumError`` at the
-        first cell with a negative degree or with mu + nu > 1."""
+        """Internal constructor from checked labels and cell matrices, and each
+        distinct cell's reduced ``(p, q)`` from the degree reader, 0 <= p <= q
+        (no other key).  ``den``, the lcm of their ``q``, is canonical; raises
+        ``ValueError`` if it is refused, ``DegreeSumError`` at the first cell with mu + nu > 1."""
         den = _common_denominator(pair_of)
         ints = {key: p * (den // q) for key, (p, q) in pair_of.items()}
         m = tuple(tuple(map(ints.__getitem__, row)) for row in mu_cells)
@@ -163,8 +162,7 @@ class IFRelation:
         if cell is not None:
             i, j = cell
             a, b = Fraction(m[i][j], den), Fraction(n[i][j], den)
-            what = "mu + nu > 1" if a >= 0 and b >= 0 else "negative degree"
-            raise DegreeSumError(f"{what} at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
+            raise DegreeSumError(f"mu + nu > 1 at cell ({i}, {j}): {a} + {b} = {a + b}", cell)
         return cls._trusted(source, target, den, m, n)
 
     @classmethod
@@ -276,8 +274,6 @@ def identity_relation(labels: Sequence[str]) -> IFRelation:
 
 def _common(r: IFRelation, s: IFRelation) -> tuple[int, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Both relations' int matrices over the lcm of their denominators."""
-    if r.den == s.den:
-        return r.den, r.m, r.n, s.m, s.n
     den = lcm(r.den, s.den)
     fr, fs = den // r.den, den // s.den
     return den, _scaled(r.m, fr), _scaled(r.n, fr), _scaled(s.m, fs), _scaled(s.n, fs)

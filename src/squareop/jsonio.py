@@ -63,10 +63,11 @@ Pair = tuple[int, int]
 
 
 class InputFormatError(ValueError):
-    """Malformed input; ``path`` points at the offending JSON field."""
+    """Malformed input (CLI exit 2); ``path`` names the offending JSON field,
+    file or flag, or is None when the message names it itself."""
 
-    def __init__(self, message: str, path: str = "$"):
-        super().__init__(f"{path}: {message}")
+    def __init__(self, message: str, path: str | None = "$"):
+        super().__init__(message if path is None else f"{path}: {message}")
         self.path = path
 
 

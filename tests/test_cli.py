@@ -126,6 +126,10 @@ MALFORMED = [
      "--map: mapping must list 4 target indices, got 3"),
     ("iso-map-not-a-bijection", ["iso", "SQ", "SQ", "--map", "0,0,1,2"], None,
      "--map is not a bijection"),
+    ("iso-map-not-indices", ["iso", "SQ", "SQ", "--map", "0,x"], None,
+     "--map must be comma-separated indices, got '0,x'"),
+    ("validate-no-schema", ["validate", "IN"], [1, 2],
+     "cannot detect a documented schema in the input"),
 ]
 
 

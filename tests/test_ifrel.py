@@ -590,20 +590,19 @@ class TestIntRepresentation:
         assert r.nu == ((F(0), F(1, 4)), (F(1), F(0)))
 
     def test_cells_breaking_the_invariant_raise_degree_sum_error(self):
-        """``_from_cells`` is the one check of the int invariant; ``_build``
-        takes ints the library proved valid and checks nothing."""
+        """``_from_cells`` is the one check of mu + nu <= 1, on degrees the
+        degree reader proved to lie in [0, 1]; ``_build`` takes ints the
+        library proved valid and checks nothing."""
         labels = ("x", "y")
-        pairs = {(1, 1): (1, 1), (0, 1): (0, 1), (1, 2): (1, 2), (3, 4): (3, 4), (-1, 2): (-1, 2)}
+        pairs = {(1, 1): (1, 1), (0, 1): (0, 1), (1, 2): (1, 2), (3, 4): (3, 4)}
         with pytest.raises(DegreeSumError) as exc:
             IFRelation._from_cells(labels, labels, (((1, 1), (1, 2)), ((0, 1), (1, 1))),
                                    (((0, 1), (3, 4)), ((1, 1), (0, 1))), pairs)
         assert exc.value.cell == (0, 1)
         assert str(exc.value) == "mu + nu > 1 at cell (0, 1): 1/2 + 3/4 = 5/4"
-        with pytest.raises(DegreeSumError) as exc:
-            IFRelation._from_cells(labels, labels, (((1, 1), (0, 1)), ((-1, 2), (1, 1))),
-                                   (((0, 1), (1, 1)), ((1, 1), (0, 1))), pairs)
-        assert exc.value.cell == (1, 0)
-        assert str(exc.value) == "negative degree at cell (1, 0): -1/2 + 1 = 1/2"
+        # a negative degree never reaches it: the degree reader refuses it
+        with pytest.raises(ValueError, match=r"^degree -1/2 outside \[0, 1\]$"):
+            IFRelation(labels, labels, ((1, 0), (F(-1, 2), 1)), ((0, 1), (1, 0)))
 
     def test_relations_are_immutable(self):
         r = identity_relation(("x", "y"))
